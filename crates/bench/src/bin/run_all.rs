@@ -26,13 +26,5 @@ fn main() {
     exp7_delta(&opt);
     exp8_landmarks(&opt);
     exp9_breakdown(&opt);
-    exp10_service_throughput(&opt);
-    exp11_daemon_throughput(&opt);
-    exp12_snapshot(&opt);
-    exp12_cold_start(&opt);
-    exp13_directed_dynamic(&opt);
-    exp14_cache(&opt);
-    exp15_obs(&opt);
-    exp16_workload(&opt);
     eprintln!("full evaluation complete");
 }

@@ -11,7 +11,7 @@ use pspc_core::builder::schedule::WorkModel;
 use pspc_core::builder::{build_pspc, PspcConfig, SchedulePlan};
 use pspc_core::hpspc::build_hpspc;
 use pspc_core::SpcIndex;
-use pspc_graph::{Graph, GraphStats};
+use pspc_graph::GraphStats;
 use pspc_order::OrderingStrategy;
 
 /// Threads axis used by the paper's scalability plots (Figs. 8–9).
@@ -569,1380 +569,6 @@ pub fn exp9_breakdown(opt: &ExpOptions) {
     );
 }
 
-// ----------------------------------------------------- Service throughput
-
-/// Worker axis for the service scaling experiment.
-pub const WORKER_AXIS: [usize; 4] = [1, 2, 4, 8];
-
-/// Extension experiment: **real wall-clock** query-service scaling.
-///
-/// Exp 4/Fig. 9 models query speedup from recorded work; this one
-/// measures it, by driving `pspc_service::QueryEngine` (worker pool +
-/// chunked sharding + per-worker scratch) against
-/// `query_batch_sequential` on the same batch. On a single-core machine
-/// the engine cannot beat the baseline — the point of the experiment is
-/// the shape on real cores, now that the rayon shim and the service
-/// runtime are genuinely parallel.
-pub fn exp10_service_throughput(opt: &ExpOptions) {
-    use pspc_service::{EngineConfig, QueryEngine};
-    let mut series = Vec::new();
-    for d in selected(opt, &["FB", "GO", "GW", "WI"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let pairs = random_pairs(&g, opt.queries, 0x5EED);
-        let (expect, t_seq) = time(|| idx.query_batch_sequential(&pairs));
-        let mut index = idx;
-        let mut ys = Vec::new();
-        for &w in &WORKER_AXIS {
-            let engine = QueryEngine::with_config(
-                index,
-                EngineConfig {
-                    workers: w,
-                    ..EngineConfig::default()
-                },
-            );
-            let (answers, t) = time(|| engine.run(&pairs));
-            assert_eq!(
-                answers, expect,
-                "{}: engine diverges at {w} workers",
-                d.code
-            );
-            ys.push(format!("{:.2}", t_seq / t));
-            index = engine.into_index();
-        }
-        series.push((d.code.to_string(), ys));
-        eprintln!("[exp10] {} done (sequential {:.3}s)", d.code, t_seq);
-    }
-    let xs: Vec<String> = WORKER_AXIS.iter().map(|w| w.to_string()).collect();
-    print_series(
-        "Service throughput: engine wall-clock speedup over sequential vs #workers",
-        "workers",
-        &xs,
-        &series,
-    );
-}
-
-// ------------------------------------------------------ Daemon throughput
-
-/// Pairs per network request in the daemon experiment.
-const EXP11_REQUEST_PAIRS: usize = 1024;
-/// Concurrent client connections in the daemon experiment.
-const EXP11_CLIENTS: usize = 4;
-
-/// Extension experiment: **measured daemon throughput** — the same
-/// workload answered three ways: `query_batch_sequential` in process,
-/// the persistent-pool `QueryEngine` in process, and the `pspc_server`
-/// daemon over local TCP (framed binary protocol, [`EXP11_CLIENTS`]
-/// persistent connections issuing [`EXP11_REQUEST_PAIRS`]-pair
-/// requests). Reports queries/sec for each plus p50/p99 per-request
-/// round-trip latency of the daemon; answers are asserted bit-identical
-/// across all three paths.
-pub fn exp11_daemon_throughput(opt: &ExpOptions) {
-    use pspc_server::client::RemoteClient;
-    use pspc_server::server::serve;
-    use pspc_service::bench::percentile_nanos;
-    use pspc_service::{EngineConfig, QueryEngine};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB", "GO"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let pairs = random_pairs(&g, opt.queries, 0xDAE11);
-        let engine_cfg = EngineConfig {
-            workers: opt.threads,
-            ..EngineConfig::default()
-        };
-
-        let (expect, t_seq) = time(|| idx.query_batch_sequential(&pairs));
-
-        let engine = QueryEngine::with_config(idx.clone(), engine_cfg);
-        let _ = engine.run(&pairs[..pairs.len().min(1000)]); // warmup
-        let (engine_answers, t_engine) = time(|| engine.run(&pairs));
-        assert_eq!(engine_answers, expect, "{}: engine diverges", d.code);
-        drop(engine);
-
-        let handle = serve(idx.clone(), "127.0.0.1:0", engine_cfg).expect("bind ephemeral port");
-        let addr = handle.local_addr().to_string();
-        let requests: Vec<&[(u32, u32)]> = pairs.chunks(EXP11_REQUEST_PAIRS).collect();
-        let next = AtomicUsize::new(0);
-        let parts: Mutex<Vec<(usize, Vec<pspc_graph::SpcAnswer>)>> =
-            Mutex::new(Vec::with_capacity(requests.len()));
-        let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(requests.len()));
-        let ((), t_daemon) = time(|| {
-            std::thread::scope(|s| {
-                for _ in 0..EXP11_CLIENTS {
-                    s.spawn(|| {
-                        let mut client = RemoteClient::connect(&addr).expect("connect");
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(req) = requests.get(i) else { return };
-                            let t0 = std::time::Instant::now();
-                            let answers = client.query_batch(req).expect("daemon answer");
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            latencies.lock().unwrap().push(ns);
-                            parts.lock().unwrap().push((i, answers));
-                        }
-                    });
-                }
-            });
-        });
-        let mut parts = parts.into_inner().unwrap();
-        parts.sort_unstable_by_key(|&(i, _)| i);
-        let daemon_answers: Vec<_> = parts.into_iter().flat_map(|(_, a)| a).collect();
-        assert_eq!(daemon_answers, expect, "{}: daemon diverges", d.code);
-        handle.shutdown();
-
-        let mut lat = latencies.into_inner().unwrap();
-        let qps = |secs: f64| format!("{:.0}", pairs.len() as f64 / secs.max(1e-9));
-        rows.push(vec![
-            d.code.to_string(),
-            qps(t_seq),
-            qps(t_engine),
-            qps(t_daemon),
-            format!("{:.0}", percentile_nanos(&mut lat, 0.50) as f64 / 1e3),
-            format!("{:.0}", percentile_nanos(&mut lat, 0.99) as f64 / 1e3),
-            format!("{:.2}", t_seq / t_daemon.max(1e-9)),
-        ]);
-        eprintln!("[exp11] {} done (daemon {:.3}s)", d.code, t_daemon);
-    }
-    print_table(
-        "Exp 11: daemon throughput over local TCP vs in-process engine vs sequential",
-        &[
-            "Dataset",
-            "seq q/s",
-            "engine q/s",
-            "daemon q/s",
-            "p50 us",
-            "p99 us",
-            "daemon speedup",
-        ],
-        &rows,
-    );
-}
-
-// ------------------------------------------------------- Snapshot formats
-
-/// Timing repetitions for the snapshot-load comparison (best-of to damp
-/// scheduler noise).
-const EXP12_LOAD_REPS: usize = 5;
-
-/// Extension experiment: **snapshot format v2 vs legacy v1** and
-/// **arena vs per-vertex label storage**.
-///
-/// Measures (a) wall-clock to deserialize the same index from a legacy
-/// v1 per-entry snapshot vs a v2 bulk-section snapshot
-/// ([`pspc_core::serialize`]), and (b) point-query latency percentiles
-/// over the flat [`pspc_core::LabelArena`] vs the pre-arena baseline —
-/// the same merge run over per-vertex [`pspc_core::LabelSet`]
-/// allocations. Loaded indexes and both query paths are asserted
-/// bit-identical. Besides the table, emits one machine-readable JSON
-/// line per dataset (prefixed `[exp12-json]`) so BENCH_*.json
-/// trajectories can track load speedup and query latency over time.
-pub fn exp12_snapshot(opt: &ExpOptions) {
-    use pspc_core::query::query_label_sets;
-    use pspc_core::serialize::{index_from_binary, index_to_binary, index_to_binary_v1, Bytes};
-    use pspc_core::LabelSet;
-    use pspc_service::bench::percentile_nanos;
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB", "GO"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let v1 = index_to_binary_v1(&idx);
-        let v2 = index_to_binary(&idx);
-
-        // Load wall-clock: best of EXP12_LOAD_REPS (fresh Bytes per rep
-        // so neither path can cheat via a shared Arc).
-        let best_load = |bytes: &Bytes| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..EXP12_LOAD_REPS {
-                let data = Bytes::from(bytes.to_vec());
-                let (loaded, secs) = time(|| index_from_binary(data).expect("valid snapshot"));
-                assert_eq!(loaded.label_arena(), idx.label_arena(), "{}", d.code);
-                assert_eq!(loaded.order(), idx.order(), "{}", d.code);
-                best = best.min(secs);
-            }
-            best
-        };
-        let t_v1 = best_load(&v1);
-        let t_v2 = best_load(&v2);
-
-        // Point-query latency: the arena path vs the pre-arena baseline
-        // (same merge, but each vertex's labels in their own heap
-        // allocations — the storage layout this PR replaced).
-        let old_sets: Vec<LabelSet> = idx
-            .label_arena()
-            .views()
-            .map(|v| v.to_label_set())
-            .collect();
-        let pairs = random_pairs(&g, opt.queries.min(50_000), 0x512E);
-        let ranked: Vec<(u32, u32)> = pairs
-            .iter()
-            .map(|&(s, t)| (idx.order().rank_of(s), idx.order().rank_of(t)))
-            .collect();
-        let mut arena_ns = Vec::with_capacity(ranked.len());
-        let mut old_ns = Vec::with_capacity(ranked.len());
-        let arena_query = |rs: u32, rt: u32| idx.query_ranks(rs, rt);
-        let old_query = |rs: u32, rt: u32| {
-            if rs == rt {
-                pspc_graph::SpcAnswer { dist: 0, count: 1 }
-            } else {
-                query_label_sets(
-                    old_sets[rs as usize].as_view(),
-                    old_sets[rt as usize].as_view(),
-                    rs,
-                    rt,
-                    idx.weights(),
-                )
-            }
-        };
-        // Alternate which layout is timed first: whichever runs first on
-        // a pair pays its cold-cache misses, so a fixed order would bias
-        // the comparison systematically.
-        for (i, &(rs, rt)) in ranked.iter().enumerate() {
-            let timed = |f: &dyn Fn(u32, u32) -> pspc_graph::SpcAnswer| {
-                let t0 = std::time::Instant::now();
-                let a = f(rs, rt);
-                (a, t0.elapsed().as_nanos() as u64)
-            };
-            let (a, b) = if i % 2 == 0 {
-                let (a, ta) = timed(&arena_query);
-                let (b, tb) = timed(&old_query);
-                arena_ns.push(ta);
-                old_ns.push(tb);
-                (a, b)
-            } else {
-                let (b, tb) = timed(&old_query);
-                let (a, ta) = timed(&arena_query);
-                arena_ns.push(ta);
-                old_ns.push(tb);
-                (a, b)
-            };
-            assert_eq!(a, b, "{}: arena and label-set queries diverge", d.code);
-        }
-        let arena_p50 = percentile_nanos(&mut arena_ns, 0.50);
-        let old_p50 = percentile_nanos(&mut old_ns, 0.50);
-
-        let speedup = t_v1 / t_v2.max(1e-9);
-        rows.push(vec![
-            d.code.to_string(),
-            fmt_mib(v1.len()),
-            fmt_mib(v2.len()),
-            fmt_secs(t_v1),
-            fmt_secs(t_v2),
-            format!("{speedup:.1}x"),
-            format!("{arena_p50}"),
-            format!("{old_p50}"),
-        ]);
-        println!(
-            "[exp12-json] {{\"experiment\":\"exp12_snapshot\",\"dataset\":\"{}\",\
-             \"v1_bytes\":{},\"v2_bytes\":{},\"v1_parse_ms\":{:.3},\"v2_load_ms\":{:.3},\
-             \"load_speedup\":{:.2},\"arena_query_p50_ns\":{},\"labelset_query_p50_ns\":{}}}",
-            d.code,
-            v1.len(),
-            v2.len(),
-            t_v1 * 1e3,
-            t_v2 * 1e3,
-            speedup,
-            arena_p50,
-            old_p50,
-        );
-        eprintln!("[exp12] {} done (v1 {t_v1:.4}s, v2 {t_v2:.4}s)", d.code);
-    }
-    print_table(
-        "Exp 12: snapshot v1 parse vs v2 bulk load, arena vs per-vertex query p50",
-        &[
-            "Dataset",
-            "v1 MiB",
-            "v2 MiB",
-            "v1 parse",
-            "v2 load",
-            "load speedup",
-            "arena p50 ns",
-            "labelset p50 ns",
-        ],
-        &rows,
-    );
-}
-
-/// Repetitions for the cold-start comparison (best-of for the load
-/// window; query latencies are pooled across reps).
-const EXP12_COLD_REPS: usize = 3;
-
-/// Extension experiment: **cold-start serving — copying load vs mmap vs
-/// sharded mmap**.
-///
-/// Writes the same index as a monolithic v2 snapshot and as a sharded
-/// manifest (~8 shards), then for each serving mode measures (a) the
-/// cold-start window — open the snapshot and answer the first query —
-/// and (b) query latency percentiles against the freshly opened index,
-/// so the mapped paths pay their page faults inside the measured sweep.
-/// All three modes are asserted bit-identical to the in-memory index.
-/// The sharded reader runs with `max_resident = 2` to exercise LRU
-/// eviction under load. Emits one `[exp12-json]` line per dataset; the
-/// ≥5x mmap cold-start criterion is checked by the release-mode run,
-/// not asserted here.
-pub fn exp12_cold_start(opt: &ExpOptions) {
-    use pspc_core::serialize::{index_to_binary, Bytes};
-    use pspc_core::{any_index_from_binary, map_index_from_file, open_sharded, SnapshotKind};
-    use pspc_service::bench::percentile_nanos;
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB", "GO"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-
-        let dir =
-            std::env::temp_dir().join(format!("pspc_exp12_cold_{}_{}", std::process::id(), d.code));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mono = dir.join("index.pspc");
-        std::fs::write(&mono, index_to_binary(&idx)).expect("write snapshot");
-        let snapshot_bytes = std::fs::metadata(&mono).expect("stat snapshot").len();
-        let manifest = dir.join("index.sharded.pspc");
-        let shards =
-            pspc_core::write_sharded_index(&idx, &manifest, (snapshot_bytes / 8).max(4096))
-                .expect("write sharded snapshot");
-
-        let pairs = random_pairs(&g, opt.queries.min(20_000), 0xC01D);
-        let ranked: Vec<(u32, u32)> = pairs
-            .iter()
-            .map(|&(s, t)| (idx.order().rank_of(s), idx.order().rank_of(t)))
-            .collect();
-        let expected: Vec<pspc_graph::SpcAnswer> = ranked
-            .iter()
-            .map(|&(rs, rt)| idx.query_ranks(rs, rt))
-            .collect();
-
-        // One rep = open the snapshot, answer the first query (the
-        // cold-start window), then sweep every pair against that same
-        // fresh instance. Answers are checked against the source index.
-        type QueryFn = Box<dyn Fn(u32, u32) -> pspc_graph::SpcAnswer>;
-        let measure = |open: &dyn Fn() -> QueryFn| -> (f64, u64, u64) {
-            let mut best_cold = f64::INFINITY;
-            let mut ns: Vec<u64> = Vec::with_capacity(ranked.len() * EXP12_COLD_REPS);
-            for _ in 0..EXP12_COLD_REPS {
-                let t0 = std::time::Instant::now();
-                let q = open();
-                let first = q(ranked[0].0, ranked[0].1);
-                best_cold = best_cold.min(t0.elapsed().as_secs_f64());
-                assert_eq!(first, expected[0], "{}: first query diverges", d.code);
-                for (i, &(rs, rt)) in ranked.iter().enumerate() {
-                    let t = std::time::Instant::now();
-                    let a = q(rs, rt);
-                    ns.push(t.elapsed().as_nanos() as u64);
-                    assert_eq!(a, expected[i], "{}: query diverges", d.code);
-                }
-            }
-            (
-                best_cold,
-                percentile_nanos(&mut ns, 0.50),
-                percentile_nanos(&mut ns, 0.99),
-            )
-        };
-
-        let (copy_cold, copy_p50, copy_p99) = measure(&|| {
-            let data = std::fs::read(&mono).expect("read snapshot");
-            let SnapshotKind::Undirected(i) =
-                any_index_from_binary(Bytes::from(data)).expect("copying load")
-            else {
-                panic!("monolithic snapshot is undirected");
-            };
-            Box::new(move |rs, rt| i.query_ranks(rs, rt))
-        });
-        let (mmap_cold, mmap_p50, mmap_p99) = measure(&|| {
-            let SnapshotKind::Undirected(i) = map_index_from_file(&mono).expect("mmap load") else {
-                panic!("monolithic snapshot is undirected");
-            };
-            assert!(
-                i.is_mapped(),
-                "{}: mmap loader fell back to copying",
-                d.code
-            );
-            Box::new(move |rs, rt| i.query_ranks(rs, rt))
-        });
-        let (shard_cold, shard_p50, shard_p99) = measure(&|| {
-            let i = open_sharded(&manifest, 2).expect("sharded load");
-            Box::new(move |rs, rt| i.query_ranks(rs, rt))
-        });
-
-        std::fs::remove_dir_all(&dir).ok();
-
-        let cold_speedup = copy_cold / mmap_cold.max(1e-9);
-        rows.push(vec![
-            d.code.to_string(),
-            fmt_mib(snapshot_bytes as usize),
-            format!("{shards}"),
-            format!("{:.2}", copy_cold * 1e3),
-            format!("{:.2}", mmap_cold * 1e3),
-            format!("{:.2}", shard_cold * 1e3),
-            format!("{cold_speedup:.1}x"),
-            format!("{copy_p50}/{copy_p99}"),
-            format!("{mmap_p50}/{mmap_p99}"),
-            format!("{shard_p50}/{shard_p99}"),
-        ]);
-        println!(
-            "[exp12-json] {{\"experiment\":\"exp12_cold_start\",\"dataset\":\"{}\",\
-             \"snapshot_bytes\":{},\"shards\":{},\"copy_cold_ms\":{:.3},\
-             \"mmap_cold_ms\":{:.3},\"sharded_cold_ms\":{:.3},\"cold_speedup\":{:.2},\
-             \"copy_p50_ns\":{},\"copy_p99_ns\":{},\"mmap_p50_ns\":{},\"mmap_p99_ns\":{},\
-             \"sharded_p50_ns\":{},\"sharded_p99_ns\":{}}}",
-            d.code,
-            snapshot_bytes,
-            shards,
-            copy_cold * 1e3,
-            mmap_cold * 1e3,
-            shard_cold * 1e3,
-            cold_speedup,
-            copy_p50,
-            copy_p99,
-            mmap_p50,
-            mmap_p99,
-            shard_p50,
-            shard_p99,
-        );
-        eprintln!(
-            "[exp12-cold] {} done (copy {:.2}ms, mmap {:.2}ms, sharded {:.2}ms)",
-            d.code,
-            copy_cold * 1e3,
-            mmap_cold * 1e3,
-            shard_cold * 1e3,
-        );
-    }
-    print_table(
-        "Exp 12b: cold start to first answer — copying load vs mmap vs sharded mmap",
-        &[
-            "Dataset",
-            "snap MiB",
-            "shards",
-            "copy ms",
-            "mmap ms",
-            "sharded ms",
-            "cold speedup",
-            "copy p50/p99",
-            "mmap p50/p99",
-            "shard p50/p99",
-        ],
-        &rows,
-    );
-}
-
-// ---------------------------------------- Directed + dynamic service
-
-/// Held-out edges replayed as live insertions in the dynamic leg.
-const EXP13_INSERTS: usize = 48;
-/// Concurrent query threads hammering the engine while inserts land.
-const EXP13_QUERY_THREADS: usize = 2;
-/// Pairs per query batch in the interleaving run.
-const EXP13_BATCH: usize = 512;
-
-/// Extension experiment: **directed and dynamic index serving** through
-/// the one `IndexKind` engine interface.
-///
-/// Directed leg: a random orientation of the dataset, `Lin`/`Lout`
-/// batch queries on the worker pool vs the sequential directed
-/// reference (answers asserted bit-identical). Dynamic leg: the dataset
-/// is built with [`EXP13_INSERTS`] edges held out, then those edges are
-/// replayed as live [`pspc_service::QueryEngine::apply_inserts`] calls while
-/// [`EXP13_QUERY_THREADS`] threads keep issuing query batches — the
-/// write-lock insert path against a draining read side. Reports insert
-/// latency percentiles and the query throughput sustained *during* the
-/// interleaving, and verifies post-insert engine answers against a
-/// fresh build on the full graph. Emits one `[exp13-json]` line per
-/// dataset for BENCH_*.json trajectories.
-pub fn exp13_directed_dynamic(opt: &ExpOptions) {
-    use pspc_core::directed::pspc::{build_di_pspc, DiPspcConfig};
-    use pspc_core::DynamicDistanceIndex;
-    use pspc_graph::digraph::random_orientation;
-    use pspc_graph::{GraphBuilder, SpcAnswer};
-    use pspc_service::bench::percentile_nanos;
-    use pspc_service::{EngineConfig, QueryEngine};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB"]) {
-        let g = d.generate(opt.scale);
-        let pairs = random_pairs(&g, opt.queries, 0xD13);
-        let engine_cfg = EngineConfig {
-            workers: opt.threads,
-            ..EngineConfig::default()
-        };
-
-        // Directed: engine-over-Lin/Lout vs the sequential reference.
-        let dg = random_orientation(&g, 0.25, 0xD13);
-        let di = build_di_pspc(
-            &dg,
-            &DiPspcConfig {
-                threads: opt.threads,
-                ..DiPspcConfig::default()
-            },
-        );
-        let (expect, t_dir_seq) = time(|| di.query_batch_sequential(&pairs));
-        let engine = QueryEngine::with_kind(di, engine_cfg);
-        let _ = engine.run(&pairs[..pairs.len().min(1000)]); // warmup
-        let (answers, t_dir_engine) = time(|| engine.run(&pairs));
-        assert_eq!(answers, expect, "{}: directed engine diverges", d.code);
-        drop(engine);
-
-        // Dynamic: hold out the tail of the edge list, rebuild, then
-        // replay the held-out edges as live inserts under query load.
-        let all_edges: Vec<(u32, u32)> = g.edges().collect();
-        let held_out = EXP13_INSERTS.min(all_edges.len() / 2);
-        let (initial, inserts) = all_edges.split_at(all_edges.len() - held_out);
-        let g0 = GraphBuilder::new()
-            .num_vertices(g.num_vertices())
-            .edges(initial.to_vec())
-            .build();
-        let dyn_idx = DynamicDistanceIndex::build(&g0, OrderingStrategy::Degree);
-        let engine = QueryEngine::with_kind(dyn_idx, engine_cfg);
-
-        let stop = AtomicBool::new(false);
-        let queries_done = AtomicUsize::new(0);
-        let mut insert_ns: Vec<u64> = Vec::with_capacity(inserts.len());
-        let ((), t_interleave) = time(|| {
-            std::thread::scope(|s| {
-                for t in 0..EXP13_QUERY_THREADS {
-                    let (engine, pairs, stop, queries_done) =
-                        (&engine, &pairs, &stop, &queries_done);
-                    s.spawn(move || {
-                        let mut at = (t * EXP13_BATCH) % pairs.len().max(1);
-                        // Do-while: at least one batch per thread, so the
-                        // inserts always contend with live queries even
-                        // when the insert stream drains in microseconds.
-                        loop {
-                            let hi = (at + EXP13_BATCH).min(pairs.len());
-                            let batch = &pairs[at..hi];
-                            let _ = engine.run(batch);
-                            queries_done.fetch_add(batch.len(), Ordering::Relaxed);
-                            at = if hi == pairs.len() { 0 } else { hi };
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                    });
-                }
-                for &(u, v) in inserts {
-                    let t0 = std::time::Instant::now();
-                    engine
-                        .apply_inserts(&[(u, v)])
-                        .expect("dynamic engine accepts inserts");
-                    insert_ns.push(t0.elapsed().as_nanos() as u64);
-                }
-                stop.store(true, Ordering::Relaxed);
-            });
-        });
-        let interleaved_qps = queries_done.load(Ordering::Relaxed) as f64 / t_interleave.max(1e-9);
-
-        // Post-insert answers must equal a fresh build on the full graph.
-        let full = DynamicDistanceIndex::build(&g, OrderingStrategy::Degree);
-        let sample = &pairs[..pairs.len().min(2000)];
-        let want: Vec<SpcAnswer> = sample
-            .iter()
-            .map(|&(s, t)| pspc_service::kind::dyn_answer(full.distance(s, t)))
-            .collect();
-        assert_eq!(
-            engine.run(sample),
-            want,
-            "{}: post-insert engine diverges from a fresh build",
-            d.code
-        );
-
-        let insert_p50 = percentile_nanos(&mut insert_ns, 0.50);
-        let insert_p99 = percentile_nanos(&mut insert_ns, 0.99);
-        let qps = |secs: f64| format!("{:.0}", pairs.len() as f64 / secs.max(1e-9));
-        rows.push(vec![
-            d.code.to_string(),
-            qps(t_dir_seq),
-            qps(t_dir_engine),
-            format!("{:.2}", t_dir_seq / t_dir_engine.max(1e-9)),
-            format!("{}", inserts.len()),
-            format!("{:.0}", insert_p50 as f64 / 1e3),
-            format!("{:.0}", insert_p99 as f64 / 1e3),
-            format!("{interleaved_qps:.0}"),
-        ]);
-        println!(
-            "[exp13-json] {{\"experiment\":\"exp13_directed_dynamic\",\"dataset\":\"{}\",\
-             \"dir_seq_qps\":{:.0},\"dir_engine_qps\":{:.0},\"inserts\":{},\
-             \"insert_p50_us\":{:.1},\"insert_p99_us\":{:.1},\"interleaved_qps\":{:.0}}}",
-            d.code,
-            pairs.len() as f64 / t_dir_seq.max(1e-9),
-            pairs.len() as f64 / t_dir_engine.max(1e-9),
-            inserts.len(),
-            insert_p50 as f64 / 1e3,
-            insert_p99 as f64 / 1e3,
-            interleaved_qps,
-        );
-        eprintln!(
-            "[exp13] {} done (directed engine {t_dir_engine:.3}s, {} inserts interleaved)",
-            d.code,
-            inserts.len()
-        );
-    }
-    print_table(
-        "Exp 13: directed batch serving and dynamic insert-vs-query interleaving",
-        &[
-            "Dataset",
-            "dir seq q/s",
-            "dir engine q/s",
-            "speedup",
-            "inserts",
-            "ins p50 us",
-            "ins p99 us",
-            "interleaved q/s",
-        ],
-        &rows,
-    );
-}
-
-/// Hot pairs in the exp14 workload universe (the skew acts over their
-/// popularity ranks).
-const EXP14_UNIVERSE: usize = 4096;
-/// Zipf skew exponents replayed by exp14: near-uniform, the θ≈1 regime
-/// real point-to-point traffic sits in, and heavily skewed.
-pub const EXP14_SKEWS: [f64; 3] = [0.8, 1.1, 1.4];
-/// Queries per serving batch in exp14 (a daemon-sized request).
-const EXP14_BATCH: usize = 1024;
-/// Result-cache capacity exp14 serves with (comfortably holds the
-/// universe, so the hit rate is governed by the skew, not by eviction).
-const EXP14_CACHE_CAPACITY: usize = 8192;
-/// Held-out edges replayed as inserts in exp14's invalidation leg.
-const EXP14_INSERTS: usize = 12;
-
-/// Experiment 14 (extension): the hot-pair result cache under
-/// Zipf-skewed workloads.
-///
-/// Skew leg: [`EXP14_UNIVERSE`] distinct pairs get Zipf popularity ranks;
-/// for each θ in [`EXP14_SKEWS`] the same workload is served by a
-/// cache-off and a cache-on engine in [`EXP14_BATCH`]-pair batches —
-/// answers asserted bit-identical batch by batch — reporting qps and
-/// p50/p99 for both plus the measured hit rate. The win should grow with
-/// θ (hotter heads re-hit more) and the acceptance bar is cache-on qps
-/// strictly above cache-off at θ = 1.1 in the release run.
-///
-/// Invalidation leg: a dynamic index with [`EXP14_INSERTS`] edges held
-/// out; each round warms the cache with a skewed batch, applies one
-/// held-out insert (bumping the index generation), re-runs the same
-/// batch and asserts it bit-identical to the *post-insert* sequential
-/// reference — a stale cache hit anywhere diverges. This prices
-/// invalidation: every insert empties the cache logically, so the
-/// post-insert batch is all misses.
-///
-/// Emits one `[exp14-json]` line per (dataset, θ) for BENCH_*.json
-/// trajectories.
-pub fn exp14_cache(opt: &ExpOptions) {
-    use pspc_core::DynamicDistanceIndex;
-    use pspc_graph::{GraphBuilder, SpcAnswer};
-    use pspc_service::bench::{percentile_nanos, percentile_sorted_nanos};
-    use pspc_service::{EngineConfig, QueryEngine};
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB"]) {
-        let g = d.generate(opt.scale);
-        let (index, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let universe = random_pairs(&g, EXP14_UNIVERSE, 0xD14);
-
-        for &theta in &EXP14_SKEWS {
-            let workload = zipf_sample(&universe, opt.queries, theta, 0xD14 + theta.to_bits());
-            let batches: Vec<&[(u32, u32)]> = workload.chunks(EXP14_BATCH).collect();
-
-            let serve = |cache_capacity: usize| {
-                let engine = QueryEngine::with_kind(
-                    index.clone(),
-                    EngineConfig {
-                        workers: opt.threads,
-                        cache_capacity,
-                        ..EngineConfig::default()
-                    },
-                );
-                let _ = engine.run(batches[0]); // warmup (faults in labels)
-                let (answers, secs) = time(|| {
-                    let mut all = Vec::with_capacity(workload.len());
-                    for b in &batches {
-                        all.extend(engine.run(b));
-                    }
-                    all
-                });
-                // Timed pass for percentiles (overhead-accepting, so it
-                // is measured apart from the throughput pass).
-                let mut lat = Vec::with_capacity(workload.len());
-                for b in &batches {
-                    let (_, _, l) = engine.run_with_latencies(b);
-                    lat.extend(l);
-                }
-                lat.sort_unstable();
-                let hit_rate = engine.cache().map(|c| {
-                    let s = c.stats();
-                    s.hits as f64 / (s.hits + s.misses).max(1) as f64
-                });
-                (answers, secs, lat, hit_rate)
-            };
-
-            let (expect, off_secs, off_lat, _) = serve(0);
-            let (got, on_secs, on_lat, hit_rate) = serve(EXP14_CACHE_CAPACITY);
-            assert_eq!(
-                got, expect,
-                "{} θ={theta}: cached answers diverge from uncached",
-                d.code
-            );
-            let hit_rate = hit_rate.expect("cache enabled");
-            let off_qps = workload.len() as f64 / off_secs.max(1e-9);
-            let on_qps = workload.len() as f64 / on_secs.max(1e-9);
-            rows.push(vec![
-                d.code.to_string(),
-                format!("{theta:.1}"),
-                format!("{off_qps:.0}"),
-                format!("{on_qps:.0}"),
-                format!("{:.2}", on_qps / off_qps.max(1e-9)),
-                format!("{:.1}%", hit_rate * 100.0),
-                format!(
-                    "{:.1}",
-                    percentile_sorted_nanos(&off_lat, 0.50) as f64 / 1e3
-                ),
-                format!("{:.1}", percentile_sorted_nanos(&on_lat, 0.50) as f64 / 1e3),
-                format!(
-                    "{:.1}",
-                    percentile_sorted_nanos(&off_lat, 0.99) as f64 / 1e3
-                ),
-                format!("{:.1}", percentile_sorted_nanos(&on_lat, 0.99) as f64 / 1e3),
-            ]);
-            println!(
-                "[exp14-json] {{\"experiment\":\"exp14_cache\",\"dataset\":\"{}\",\
-                 \"theta\":{theta:.1},\"cache_off_qps\":{off_qps:.0},\"cache_on_qps\":{on_qps:.0},\
-                 \"speedup\":{:.3},\"hit_rate\":{hit_rate:.4},\
-                 \"off_p50_us\":{:.2},\"on_p50_us\":{:.2},\
-                 \"off_p99_us\":{:.2},\"on_p99_us\":{:.2}}}",
-                d.code,
-                on_qps / off_qps.max(1e-9),
-                percentile_sorted_nanos(&off_lat, 0.50) as f64 / 1e3,
-                percentile_sorted_nanos(&on_lat, 0.50) as f64 / 1e3,
-                percentile_sorted_nanos(&off_lat, 0.99) as f64 / 1e3,
-                percentile_sorted_nanos(&on_lat, 0.99) as f64 / 1e3,
-            );
-            eprintln!(
-                "[exp14] {} θ={theta}: off {off_qps:.0} q/s, on {on_qps:.0} q/s \
-                 ({:.0}% hits)",
-                d.code,
-                hit_rate * 100.0
-            );
-        }
-
-        // Invalidation leg: inserts interleave with skewed batches; every
-        // post-insert batch is checked bit-identical to a sequential
-        // reference over the *current* graph.
-        let all_edges: Vec<(u32, u32)> = g.edges().collect();
-        let held_out = EXP14_INSERTS.min(all_edges.len() / 2);
-        let (initial, inserts) = all_edges.split_at(all_edges.len() - held_out);
-        let g0 = GraphBuilder::new()
-            .num_vertices(g.num_vertices())
-            .edges(initial.to_vec())
-            .build();
-        let engine = QueryEngine::with_kind(
-            DynamicDistanceIndex::build(&g0, OrderingStrategy::Degree),
-            EngineConfig {
-                workers: opt.threads,
-                cache_capacity: EXP14_CACHE_CAPACITY,
-                ..EngineConfig::default()
-            },
-        );
-        let mut post_insert_ns: Vec<u64> = Vec::with_capacity(inserts.len());
-        for (round, &(u, v)) in inserts.iter().enumerate() {
-            let batch = zipf_sample(&universe, EXP14_BATCH, 1.1, 0xBEEF + round as u64);
-            let _ = engine.run(&batch); // warm the cache pre-insert
-            engine
-                .apply_inserts(&[(u, v)])
-                .expect("dynamic engine accepts inserts");
-            let t0 = std::time::Instant::now();
-            let got = engine.run(&batch);
-            post_insert_ns.push(t0.elapsed().as_nanos() as u64);
-            let want: Vec<SpcAnswer> = engine.kind().query_batch_sequential(&batch);
-            assert_eq!(
-                got, want,
-                "{} round {round}: post-insert cached answers diverge \
-                 (stale cache entry served)",
-                d.code
-            );
-        }
-        let inval_p50 = percentile_nanos(&mut post_insert_ns, 0.50);
-        println!(
-            "[exp14-json] {{\"experiment\":\"exp14_cache_invalidation\",\"dataset\":\"{}\",\
-             \"inserts\":{},\"post_insert_batch_p50_us\":{:.1}}}",
-            d.code,
-            inserts.len(),
-            inval_p50 as f64 / 1e3,
-        );
-        eprintln!(
-            "[exp14] {} invalidation leg done ({} inserts, post-insert batch p50 {:.0}us)",
-            d.code,
-            inserts.len(),
-            inval_p50 as f64 / 1e3
-        );
-    }
-    print_table(
-        "Exp 14: hot-pair result cache under Zipf-skewed workloads",
-        &[
-            "Dataset",
-            "theta",
-            "off q/s",
-            "on q/s",
-            "speedup",
-            "hit rate",
-            "off p50 us",
-            "on p50 us",
-            "off p99 us",
-            "on p99 us",
-        ],
-        &rows,
-    );
-}
-
-// ------------------------------------------------ Observability overhead
-
-/// Pairs per network request in the observability experiment.
-const EXP15_REQUEST_PAIRS: usize = 1024;
-/// Concurrent client connections in the observability experiment.
-const EXP15_CLIENTS: usize = 4;
-/// Interleaved measurement passes per leg (best-of damps scheduler
-/// noise; the legs alternate within a pass so both sample the same
-/// machine conditions).
-const EXP15_PASSES: usize = 3;
-/// Maximum tolerated tracing overhead on daemon throughput (release
-/// acceptance bar: 3%).
-const EXP15_MAX_OVERHEAD: f64 = 0.03;
-
-/// Experiment 15 (extension): **the price of observability** — the
-/// exp11-style daemon workload ([`EXP15_CLIENTS`] binary-protocol
-/// clients issuing [`EXP15_REQUEST_PAIRS`]-pair requests) served by two
-/// daemons over the same index: tracing off vs tracing on (per-request
-/// spans, stage-attributed histograms, trace ring, slow-query log).
-///
-/// Both legs stay up for the whole run and measurement passes alternate
-/// between them ([`EXP15_PASSES`] best-of passes per leg), so scheduler
-/// drift hits both equally. Answers are asserted bit-identical to the
-/// sequential reference on every pass; the traced daemon is additionally
-/// asserted to have populated its stage histograms and slow log, and the
-/// untraced one to have recorded *no* stage samples. The release
-/// acceptance bar is tracing overhead ≤ [`EXP15_MAX_OVERHEAD`] on
-/// best-of throughput. Emits one `[exp15-json]` line per dataset.
-pub fn exp15_obs(opt: &ExpOptions) {
-    use pspc_obs::Stage;
-    use pspc_server::client::RemoteClient;
-    use pspc_server::server::{serve_with_obs, ObsConfig};
-    use pspc_service::bench::percentile_sorted_nanos;
-    use pspc_service::EngineConfig;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let pairs = random_pairs(&g, opt.queries, 0x0B515);
-        let expect = idx.query_batch_sequential(&pairs);
-        let engine_cfg = EngineConfig {
-            workers: opt.threads,
-            ..EngineConfig::default()
-        };
-        let handles: Vec<_> = [false, true]
-            .iter()
-            .map(|&tracing| {
-                serve_with_obs(
-                    idx.clone(),
-                    "127.0.0.1:0",
-                    engine_cfg,
-                    ObsConfig {
-                        tracing,
-                        ..ObsConfig::default()
-                    },
-                )
-                .expect("bind ephemeral port")
-            })
-            .collect();
-
-        // One full workload replay against one daemon: qps plus the
-        // per-request round-trip latencies.
-        let run_pass = |addr: &str| -> (f64, Vec<u64>) {
-            let requests: Vec<&[(u32, u32)]> = pairs.chunks(EXP15_REQUEST_PAIRS).collect();
-            let next = AtomicUsize::new(0);
-            let parts: Mutex<Vec<(usize, Vec<pspc_graph::SpcAnswer>)>> =
-                Mutex::new(Vec::with_capacity(requests.len()));
-            let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(requests.len()));
-            let ((), secs) = time(|| {
-                std::thread::scope(|s| {
-                    for _ in 0..EXP15_CLIENTS {
-                        s.spawn(|| {
-                            let mut client = RemoteClient::connect(addr).expect("connect");
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(req) = requests.get(i) else { return };
-                                let t0 = std::time::Instant::now();
-                                let answers = client.query_batch(req).expect("daemon answer");
-                                latencies
-                                    .lock()
-                                    .unwrap()
-                                    .push(t0.elapsed().as_nanos() as u64);
-                                parts.lock().unwrap().push((i, answers));
-                            }
-                        });
-                    }
-                });
-            });
-            let mut parts = parts.into_inner().unwrap();
-            parts.sort_unstable_by_key(|&(i, _)| i);
-            let got: Vec<_> = parts.into_iter().flat_map(|(_, a)| a).collect();
-            assert_eq!(got, expect, "{}: daemon answers diverge", d.code);
-            (
-                pairs.len() as f64 / secs.max(1e-9),
-                latencies.into_inner().unwrap(),
-            )
-        };
-
-        let mut best_qps = [0f64; 2];
-        let mut lat: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for _ in 0..EXP15_PASSES {
-            for (leg, h) in handles.iter().enumerate() {
-                let (qps, mut l) = run_pass(&h.local_addr().to_string());
-                best_qps[leg] = best_qps[leg].max(qps);
-                lat[leg].append(&mut l);
-            }
-        }
-        for l in &mut lat {
-            l.sort_unstable();
-        }
-
-        // The traced leg's observability surface must actually be
-        // populated — otherwise the "overhead" measured nothing. Traces
-        // are recorded *after* the response is written, so the last
-        // request's trace may land shortly after its client returns:
-        // poll the scrape briefly before asserting.
-        let served = (EXP15_PASSES * pairs.chunks(EXP15_REQUEST_PAIRS).count()) as u64;
-        let on = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-            loop {
-                let m = handles[1].metrics();
-                if m.stage_hists[Stage::Prepare as usize].count() >= served
-                    || std::time::Instant::now() >= deadline
-                {
-                    break m;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        };
-        assert_eq!(on.request_hist.count(), served);
-        for stage in [Stage::Prepare, Stage::Execute, Stage::Merge] {
-            let h = &on.stage_hists[stage as usize];
-            assert_eq!(h.count(), served, "{} samples missing", stage.name());
-            assert!(h.sum() > 0, "{} attributed no time", stage.name());
-        }
-        let slow = handles[1].slowest_traces(8);
-        assert!(!slow.is_empty(), "slow log empty after traffic");
-        assert!(
-            slow[0].stage_ns[Stage::Execute as usize] > 0,
-            "slowest trace lacks execute attribution"
-        );
-        let off = handles[0].metrics();
-        assert_eq!(
-            off.stage_hists.iter().map(|h| h.count()).sum::<u64>(),
-            0,
-            "untraced leg must record no stage samples"
-        );
-
-        let overhead = 1.0 - best_qps[1] / best_qps[0].max(1e-9);
-        // Measurable bar only in release: debug builds are dominated by
-        // unoptimized engine code, not by the few clock reads tracing
-        // adds.
-        if !cfg!(debug_assertions) {
-            assert!(
-                overhead <= EXP15_MAX_OVERHEAD,
-                "{}: tracing overhead {:.1}% exceeds the {:.0}% bar \
-                 (off {:.0} q/s, on {:.0} q/s)",
-                d.code,
-                overhead * 100.0,
-                EXP15_MAX_OVERHEAD * 100.0,
-                best_qps[0],
-                best_qps[1]
-            );
-        }
-
-        let p = |leg: usize, q: f64| percentile_sorted_nanos(&lat[leg], q) as f64 / 1e3;
-        rows.push(vec![
-            d.code.to_string(),
-            format!("{:.0}", best_qps[0]),
-            format!("{:.0}", best_qps[1]),
-            format!("{:.1}%", overhead * 100.0),
-            format!("{:.0}", p(0, 0.50)),
-            format!("{:.0}", p(1, 0.50)),
-            format!("{:.0}", p(0, 0.99)),
-            format!("{:.0}", p(1, 0.99)),
-        ]);
-        println!(
-            "[exp15-json] {{\"experiment\":\"exp15_obs\",\"dataset\":\"{}\",\
-             \"off_qps\":{:.0},\"on_qps\":{:.0},\"overhead_pct\":{:.2},\
-             \"off_p50_us\":{:.2},\"on_p50_us\":{:.2},\
-             \"off_p99_us\":{:.2},\"on_p99_us\":{:.2}}}",
-            d.code,
-            best_qps[0],
-            best_qps[1],
-            overhead * 100.0,
-            p(0, 0.50),
-            p(1, 0.50),
-            p(0, 0.99),
-            p(1, 0.99),
-        );
-        eprintln!(
-            "[exp15] {} done: off {:.0} q/s, on {:.0} q/s ({:+.1}% overhead)",
-            d.code,
-            best_qps[0],
-            best_qps[1],
-            overhead * 100.0
-        );
-        for h in handles {
-            h.shutdown();
-        }
-    }
-    print_table(
-        "Exp 15: observability overhead — tracing + histograms on vs off",
-        &[
-            "Dataset",
-            "off q/s",
-            "on q/s",
-            "overhead",
-            "off p50 us",
-            "on p50 us",
-            "off p99 us",
-            "on p99 us",
-        ],
-        &rows,
-    );
-}
-
-// ------------------------------------------------ Workload intelligence
-
-/// Distinct `(s, t)` pairs in the sketch-accuracy universe (release).
-const EXP16_UNIVERSE: usize = 1 << 20;
-/// Zipf-stream length fed to the sketch in the accuracy leg (release).
-const EXP16_STREAM: usize = 1_000_000;
-/// Maximum tolerated HyperLogLog relative error against the exact
-/// distinct-pair count (acceptance bar: 5%).
-const EXP16_MAX_HLL_ERROR: f64 = 0.05;
-/// Pairs per network request in the overhead leg.
-const EXP16_REQUEST_PAIRS: usize = 1024;
-/// Concurrent client connections in the overhead leg.
-const EXP16_CLIENTS: usize = 4;
-/// Interleaved best-of passes per leg (same scheduler-noise damping as
-/// exp15, but more of them: on a shared single-core host the per-pass
-/// throughput swings by several percent, more than the overhead bar).
-const EXP16_PASSES: usize = 6;
-/// Maximum tolerated sketch + time-series overhead on daemon
-/// throughput (release acceptance bar: 3%).
-const EXP16_MAX_OVERHEAD: f64 = 0.03;
-/// Deliberately oversized cache the advisor must shrink (advisor leg).
-const EXP16_OVERSIZED_CACHE: usize = 1 << 17;
-/// Advisor time-series window in the advisor leg (seconds).
-const EXP16_WINDOW_SECS: u64 = 1;
-
-/// Experiment 16 (extension): **workload intelligence** — four legs over
-/// the engine's streaming sketches:
-///
-/// 1. *Accuracy*: a Zipf(θ=1) stream of [`EXP16_STREAM`] pairs drawn
-///    from an [`EXP16_UNIVERSE`]-pair universe fed through
-///    [`pspc_obs::WorkloadSketch`]; the HyperLogLog distinct-pair
-///    estimate must land within [`EXP16_MAX_HLL_ERROR`] of the exact
-///    `HashSet` count, and SpaceSaving must rank the true Zipf head
-///    first.
-/// 2. *Overhead*: the exp15-style daemon workload against two daemons
-///    over the same index — workload sketch off vs on, tracing on in
-///    both — best-of throughput overhead ≤ [`EXP16_MAX_OVERHEAD`] in
-///    release, with the sketch-on daemon's `/metrics` workload gauges
-///    asserted populated and the sketch-off daemon's absent.
-/// 3. *Advisor*: an engine with a deliberately oversized adaptive cache
-///    ([`EXP16_OVERSIZED_CACHE`] entries, one-second windows) served a
-///    skewed repeating stream; the advisor must shrink the cache within
-///    two windows and the final capacity must sit within the advisor's
-///    own resize threshold of its recommendation.
-/// 4. *Trace round-trip*: a client-supplied correlation ID sent via the
-///    binary `PSQ2` frame must come back verbatim from the daemon's
-///    trace ring.
-///
-/// Emits `[exp16-json]` lines: one accuracy record, one per dataset.
-pub fn exp16_workload(opt: &ExpOptions) {
-    use pspc_obs::WorkloadSketch;
-    use pspc_server::client::RemoteClient;
-    use pspc_server::server::{serve_with_obs, ObsConfig};
-    use pspc_service::{EngineConfig, QueryEngine};
-    use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
-
-    // ---- Leg 1: sketch accuracy on a synthetic Zipf pair stream.
-    // Debug builds shrink the stream (HLL error does not depend on the
-    // build profile; the full 1M-pair stream is the release criterion).
-    let (universe_n, stream_n) = if cfg!(debug_assertions) {
-        (1usize << 16, 200_000usize)
-    } else {
-        (EXP16_UNIVERSE, EXP16_STREAM)
-    };
-    let universe: Vec<(u32, u32)> = (0..universe_n)
-        .map(|i| ((i >> 10) as u32, (i & 1023) as u32))
-        .collect();
-    let stream = zipf_sample(&universe, stream_n, 1.0, 0xC0FFEE);
-    let exact = stream.iter().collect::<HashSet<_>>().len();
-    let sketch = WorkloadSketch::new(pspc_obs::DEFAULT_HEAVY_HITTERS);
-    let ((), secs) = time(|| {
-        for chunk in stream.chunks(1024) {
-            sketch.record_batch(chunk);
-        }
-    });
-    let est = sketch.distinct_pairs();
-    let err = (est - exact as f64).abs() / exact as f64;
-    assert!(
-        err <= EXP16_MAX_HLL_ERROR,
-        "HLL estimate {est:.0} vs exact {exact}: {:.2}% error exceeds the {:.0}% bar",
-        err * 100.0,
-        EXP16_MAX_HLL_ERROR * 100.0
-    );
-    assert_eq!(sketch.total_pairs(), stream_n as u64);
-    let hot = sketch.hot_pairs(1);
-    assert_eq!(
-        hot[0].key, universe[0],
-        "SpaceSaving must rank the true Zipf head first"
-    );
-    println!(
-        "[exp16-json] {{\"experiment\":\"exp16_workload\",\"leg\":\"accuracy\",\
-         \"universe\":{universe_n},\"stream\":{stream_n},\"exact\":{exact},\
-         \"estimate\":{est:.1},\"error_pct\":{:.3},\"mpairs_per_sec\":{:.2}}}",
-        err * 100.0,
-        stream_n as f64 / secs.max(1e-9) / 1e6,
-    );
-    eprintln!(
-        "[exp16] sketch accuracy: exact {exact} distinct, HLL {est:.0} \
-         ({:+.2}% error), {:.1}M pairs/s ingest",
-        (est - exact as f64) / exact as f64 * 100.0,
-        stream_n as f64 / secs.max(1e-9) / 1e6,
-    );
-
-    let mut rows = Vec::new();
-    for d in selected(opt, &["FB"]) {
-        let g = d.generate(opt.scale);
-        let (idx, _) = build_pspc(&g, &default_pspc(opt.threads));
-        let pairs = random_pairs(&g, opt.queries, 0x0B516);
-        let expect = idx.query_batch_sequential(&pairs);
-
-        // ---- Leg 2: daemon throughput with the sketch off vs on.
-        let handles: Vec<_> = [false, true]
-            .iter()
-            .map(|&sketch_on| {
-                serve_with_obs(
-                    idx.clone(),
-                    "127.0.0.1:0",
-                    EngineConfig {
-                        workers: opt.threads,
-                        workload_sketch: sketch_on,
-                        ..EngineConfig::default()
-                    },
-                    ObsConfig::default(),
-                )
-                .expect("bind ephemeral port")
-            })
-            .collect();
-        let run_pass = |addr: &str| -> f64 {
-            let requests: Vec<&[(u32, u32)]> = pairs.chunks(EXP16_REQUEST_PAIRS).collect();
-            let next = AtomicUsize::new(0);
-            let parts: Mutex<Vec<(usize, Vec<pspc_graph::SpcAnswer>)>> =
-                Mutex::new(Vec::with_capacity(requests.len()));
-            let ((), secs) = time(|| {
-                std::thread::scope(|s| {
-                    for _ in 0..EXP16_CLIENTS {
-                        s.spawn(|| {
-                            let mut client = RemoteClient::connect(addr).expect("connect");
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(req) = requests.get(i) else { return };
-                                let answers = client.query_batch(req).expect("daemon answer");
-                                parts.lock().unwrap().push((i, answers));
-                            }
-                        });
-                    }
-                });
-            });
-            let mut parts = parts.into_inner().unwrap();
-            parts.sort_unstable_by_key(|&(i, _)| i);
-            let got: Vec<_> = parts.into_iter().flat_map(|(_, a)| a).collect();
-            assert_eq!(got, expect, "{}: daemon answers diverge", d.code);
-            pairs.len() as f64 / secs.max(1e-9)
-        };
-        let mut best_qps = [0f64; 2];
-        for _ in 0..EXP16_PASSES {
-            for (leg, h) in handles.iter().enumerate() {
-                best_qps[leg] = best_qps[leg].max(run_pass(&h.local_addr().to_string()));
-            }
-        }
-
-        // The sketch-on leg must actually have been counting, and the
-        // sketch-off leg must expose no workload gauges at all —
-        // otherwise the overhead measured nothing.
-        let served_pairs = (EXP16_PASSES * pairs.len()) as u64;
-        let on = handles[1]
-            .metrics()
-            .workload
-            .expect("sketch-on daemon exposes workload gauges");
-        assert_eq!(on.total_pairs, served_pairs, "{}: pairs uncounted", d.code);
-        assert!(on.distinct_pairs > 0.0);
-        assert!(
-            handles[0].metrics().workload.is_none(),
-            "sketch-off daemon must expose no workload gauges"
-        );
-        let overhead = 1.0 - best_qps[1] / best_qps[0].max(1e-9);
-        // Measurable bar only in release: debug builds are dominated by
-        // unoptimized engine code, not the few nanoseconds per pair the
-        // sketch adds.
-        if !cfg!(debug_assertions) {
-            assert!(
-                overhead <= EXP16_MAX_OVERHEAD,
-                "{}: workload-sketch overhead {:.1}% exceeds the {:.0}% bar \
-                 (off {:.0} q/s, on {:.0} q/s)",
-                d.code,
-                overhead * 100.0,
-                EXP16_MAX_OVERHEAD * 100.0,
-                best_qps[0],
-                best_qps[1]
-            );
-        }
-
-        // ---- Leg 4 (against the sketch-on daemon, before shutdown):
-        // a client correlation ID round-trips through the PSQ2 frame
-        // into the trace ring verbatim.
-        let trace_id: u64 = 0x7E57_1DBE_EF00_0000 | u64::from(d.code.len() as u8);
-        let sample = &pairs[..pairs.len().min(64)];
-        let mut client =
-            RemoteClient::connect(&handles[1].local_addr().to_string()).expect("connect");
-        let got = client
-            .query_batch_traced(trace_id, sample)
-            .expect("traced answer");
-        assert_eq!(&got[..], &expect[..sample.len()], "traced answers diverge");
-        // Traces are recorded after the response is written; poll
-        // briefly before asserting.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            if handles[1]
-                .recent_traces(16)
-                .iter()
-                .any(|t| t.id == trace_id)
-            {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "client trace id {trace_id:#x} never appeared in the trace ring"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for h in handles {
-            h.shutdown();
-        }
-
-        // ---- Leg 3: the advisor shrinks a deliberately oversized
-        // adaptive cache onto the distinct-pair estimate. One-second
-        // windows; a skewed repeating stream keeps the estimate stable
-        // so convergence means "no further resizes, capacity within the
-        // advisor's own threshold of its recommendation".
-        let eng = QueryEngine::with_config(
-            idx.clone(),
-            EngineConfig {
-                workers: opt.threads,
-                cache_capacity: EXP16_OVERSIZED_CACHE,
-                cache_adaptive: true,
-                window_secs: EXP16_WINDOW_SECS,
-                ..EngineConfig::default()
-            },
-        );
-        let hot_universe = random_pairs(&g, 2048, 0x516);
-        let skew = zipf_sample(&hot_universe, 4096, 1.0, 0xA5);
-        let skew_expect = idx.query_batch_sequential(&skew);
-        let t0 = Instant::now();
-        let mut first_resize: Option<Duration> = None;
-        while t0.elapsed() < Duration::from_millis(2 * 1000 * EXP16_WINDOW_SECS + 200) {
-            let got = eng.run(&skew);
-            assert_eq!(got, skew_expect, "{}: cached answers diverge", d.code);
-            if first_resize.is_none()
-                && eng.cache().expect("cache on").capacity() != EXP16_OVERSIZED_CACHE
-            {
-                first_resize = Some(t0.elapsed());
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let cap = eng.cache().expect("cache on").capacity();
-        let rec = eng
-            .recommended_cache_capacity()
-            .expect("advisor published a recommendation") as f64;
-        let resized_at = first_resize.expect("advisor never resized the oversized cache");
-        assert!(
-            resized_at.as_secs_f64() <= 2.0 * EXP16_WINDOW_SECS as f64,
-            "{}: first resize after {resized_at:?}, more than two windows",
-            d.code
-        );
-        assert!(cap < EXP16_OVERSIZED_CACHE, "cache did not shrink");
-        let drift = (rec - cap as f64).abs() / cap.max(1) as f64;
-        assert!(
-            drift <= pspc_service::advisor::RESIZE_THRESHOLD,
-            "{}: capacity {cap} has not converged onto recommendation {rec:.0}",
-            d.code
-        );
-
-        rows.push(vec![
-            d.code.to_string(),
-            format!("{:.0}", best_qps[0]),
-            format!("{:.0}", best_qps[1]),
-            format!("{:.1}%", overhead * 100.0),
-            format!("{:.0}", on.distinct_pairs),
-            format!("{EXP16_OVERSIZED_CACHE}"),
-            format!("{cap}"),
-            format!("{rec:.0}"),
-        ]);
-        println!(
-            "[exp16-json] {{\"experiment\":\"exp16_workload\",\"dataset\":\"{}\",\
-             \"off_qps\":{:.0},\"on_qps\":{:.0},\"overhead_pct\":{:.2},\
-             \"daemon_distinct\":{:.1},\"cache_initial\":{EXP16_OVERSIZED_CACHE},\
-             \"cache_final\":{cap},\"cache_recommended\":{rec:.0},\
-             \"advisor_resize_ms\":{:.0},\"trace_id_roundtrip\":true}}",
-            d.code,
-            best_qps[0],
-            best_qps[1],
-            overhead * 100.0,
-            on.distinct_pairs,
-            resized_at.as_secs_f64() * 1e3,
-        );
-        eprintln!(
-            "[exp16] {} done: off {:.0} q/s, on {:.0} q/s ({:+.1}% overhead), \
-             cache {EXP16_OVERSIZED_CACHE} → {cap} (advice {rec:.0})",
-            d.code,
-            best_qps[0],
-            best_qps[1],
-            overhead * 100.0,
-        );
-    }
-    print_table(
-        "Exp 16: workload intelligence — sketch accuracy, overhead, adaptive cache",
-        &[
-            "Dataset",
-            "off q/s",
-            "on q/s",
-            "overhead",
-            "distinct est",
-            "cache0",
-            "cache*",
-            "advice",
-        ],
-        &rows,
-    );
-}
-
-/// Convenience used by tests and `run_all`: a graph for quick smoke runs.
-pub fn smoke_graph() -> Graph {
-    DatasetSpec::by_code("FB").unwrap().generate(0.05)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1968,119 +594,8 @@ mod tests {
     }
 
     #[test]
-    fn service_throughput_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 2000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts engine/sequential parity internally on every axis point.
-        exp10_service_throughput(&opt);
-    }
-
-    #[test]
-    fn daemon_throughput_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 3000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts sequential == engine == daemon answers internally.
-        exp11_daemon_throughput(&opt);
-    }
-
-    #[test]
-    fn snapshot_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 1500,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts v1/v2 loads and arena/label-set answers are
-        // bit-identical internally; timings are reported, not asserted
-        // (the ≥5x load criterion is checked by the release-mode run).
-        exp12_snapshot(&opt);
-    }
-
-    #[test]
-    fn cold_start_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 1500,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts copying/mmap/sharded answers match the source index on
-        // every pair; the ≥5x mmap cold-start criterion is a release-run
-        // criterion, not a debug assertion.
-        exp12_cold_start(&opt);
-    }
-
-    #[test]
-    fn directed_dynamic_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 2000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts directed engine == sequential reference and that the
-        // post-insert dynamic engine equals a fresh full-graph build.
-        exp13_directed_dynamic(&opt);
-    }
-
-    #[test]
-    fn cache_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 3000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts cache-on == cache-off answers per θ and post-insert
-        // parity in the invalidation leg; the qps win is a release-run
-        // criterion, not a debug assertion.
-        exp14_cache(&opt);
-    }
-
-    #[test]
-    fn observability_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 3000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts daemon answers match the sequential reference on both
-        // legs, the traced leg populated its histograms and slow log,
-        // and the untraced leg recorded nothing; the ≤3% overhead bar
-        // is release-only.
-        exp15_obs(&opt);
-    }
-
-    #[test]
-    fn workload_experiment_smoke() {
-        let opt = ExpOptions {
-            scale: 0.05,
-            queries: 3000,
-            datasets: vec!["FB".into()],
-            ..ExpOptions::default()
-        };
-        // Asserts the HLL estimate is within the 5% bar on a (debug-
-        // sized) Zipf stream, daemon answers match the sequential
-        // reference with the sketch on and off, the traced correlation
-        // ID lands in the trace ring, and the advisor shrinks an
-        // oversized adaptive cache onto its recommendation; the ≤3%
-        // overhead bar is release-only.
-        exp16_workload(&opt);
-    }
-
-    #[test]
     fn query_model_speedup_near_linear() {
-        let g = smoke_graph();
+        let g = DatasetSpec::by_code("FB").unwrap().generate(0.05);
         let (idx, _) = build_pspc(&g, &default_pspc(1));
         let pairs = random_pairs(&g, 2000, 1);
         let model = query_work_model(&idx, &pairs);

@@ -93,36 +93,6 @@ pub fn random_pairs(g: &Graph, count: usize, seed: u64) -> Vec<(VertexId, Vertex
         .collect()
 }
 
-/// Zipf-skewed sampling from a fixed universe of items: item `i` (0-based
-/// popularity rank) is drawn with weight `1 / (i + 1)^theta`. `theta = 0`
-/// degenerates to uniform; real point-to-point query traffic sits around
-/// `theta ≈ 1`. Deterministic in `seed` (xorshift over the cumulative
-/// weight table — no `rand` in the sampling loop).
-pub fn zipf_sample<T: Copy>(universe: &[T], count: usize, theta: f64, seed: u64) -> Vec<T> {
-    assert!(!universe.is_empty(), "universe must be non-empty");
-    let mut cumulative = Vec::with_capacity(universe.len());
-    let mut total = 0.0f64;
-    for i in 0..universe.len() {
-        total += 1.0 / ((i + 1) as f64).powf(theta);
-        cumulative.push(total);
-    }
-    let mut state = seed | 1;
-    let mut next_unit = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        // 53 uniform mantissa bits → [0, 1).
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..count)
-        .map(|_| {
-            let u = next_unit() * total;
-            let at = cumulative.partition_point(|&c| c < u);
-            universe[at.min(universe.len() - 1)]
-        })
-        .collect()
-}
-
 /// Prints a fixed-width table: header row then rows; first column
 /// left-aligned, the rest right-aligned.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -215,26 +185,6 @@ mod tests {
         let b = random_pairs(&g, 50, 7);
         assert_eq!(a, b);
         assert!(a.iter().all(|&(s, t)| s < 3 && t < 3));
-    }
-
-    #[test]
-    fn zipf_sample_is_deterministic_and_skewed() {
-        let universe: Vec<u32> = (0..1000).collect();
-        let a = zipf_sample(&universe, 5000, 1.1, 9);
-        let b = zipf_sample(&universe, 5000, 1.1, 9);
-        assert_eq!(a, b, "same seed, same workload");
-        assert!(a.iter().all(|&x| x < 1000));
-        // Head-heavy: the top-10 ranks dominate a uniform draw's share.
-        let head = a.iter().filter(|&&x| x < 10).count();
-        assert!(
-            head > a.len() / 10,
-            "zipf(1.1) head share too small: {head}/{}",
-            a.len()
-        );
-        // theta = 0 is uniform-ish: the head takes roughly its fair share.
-        let uniform = zipf_sample(&universe, 5000, 0.0, 9);
-        let uniform_head = uniform.iter().filter(|&&x| x < 10).count();
-        assert!(uniform_head < head / 4, "theta=0 must be far flatter");
     }
 
     #[test]

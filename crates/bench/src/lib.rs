@@ -1,10 +1,11 @@
 //! # pspc-bench
 //!
 //! Experiment harness reproducing every table and figure of the PSPC
-//! paper's evaluation (§V) on synthetic stand-in datasets. Each `exp*`
-//! binary prints the rows/series of one figure; `run_all` runs the full
-//! evaluation. See EXPERIMENTS.md at the workspace root for the
-//! paper-vs-measured record.
+//! paper's evaluation (§V: Tables II–III, Exps 1–9) on synthetic stand-in
+//! datasets. Each `exp*` binary prints the rows/series of one figure;
+//! `run_all` runs the full evaluation. The serving stack (engine, cache,
+//! daemon, snapshots) is measured by the seeded `perfbench` package at the
+//! workspace root instead.
 
 #![warn(missing_docs)]
 

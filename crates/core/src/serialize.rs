@@ -11,8 +11,8 @@
 //!   section start is naturally aligned so the layout is mmap-ready.
 //! * **v1 (`PSPCIDX1`)** — the legacy per-entry format. Still *read* by
 //!   [`index_from_binary`] for back-compat; [`index_to_binary_v1`] keeps a
-//!   writer around for migration tests and the `exp12_snapshot` load
-//!   benchmark. Convert old files with `pspc migrate <old> <new>`.
+//!   writer around for migration and cross-format tests. Convert old files
+//!   with `pspc migrate <old> <new>`.
 //!
 //! # v2 format specification
 //!
@@ -504,8 +504,8 @@ pub(crate) fn validate_order(order: Vec<u32>) -> io::Result<VertexOrder> {
 /// Serializes the index in the **legacy v1** per-entry format.
 ///
 /// New snapshots should use [`index_to_binary`] (v2); this writer exists
-/// so migration round-trips and the v1-parse baseline of
-/// `exp12_snapshot` stay testable against real v1 bytes.
+/// so migration round-trips and the v1 reader stay testable against real
+/// v1 bytes.
 pub fn index_to_binary_v1(idx: &SpcIndex) -> Bytes {
     let n = idx.num_vertices();
     let m = idx.label_arena().num_entries();

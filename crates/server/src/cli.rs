@@ -1,6 +1,7 @@
 //! The full `pspc` command-line surface: `serve`, `migrate`, remote
 //! `query` and remote `insert` are handled here, everything else
-//! delegates to [`pspc_service::cli`] (`build`, local `query`, `bench`).
+//! delegates to [`pspc_service::cli`] (`stats`, `build`, local `query`,
+//! `bench`).
 //!
 //! Results (answers, applied-edge counts) go to stdout; progress and
 //! lifecycle diagnostics are structured `PSPC_LOG` records on stderr.
@@ -20,7 +21,7 @@ const USAGE: &str = "usage: pspc serve <index> [--addr host:port] [--workers n] 
 [--pairs <file|->] [--format tsv|json] [--trace-id n] [s t ...] | \
 pspc insert --remote host:port \
 [--pairs <file|->] [u v ...] | pspc migrate <old> <new> [--shard [--shard-bytes n]] | \
-pspc build|query|bench ... (see `pspc help` for the local subcommands)";
+pspc stats|build|query|bench ... (see `pspc help` for the local subcommands)";
 
 /// Entry point of the `pspc` binary: dispatches `serve`, `migrate`,
 /// `query --remote` and `insert`, falls through to the `pspc_service`

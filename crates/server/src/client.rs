@@ -3,8 +3,7 @@
 //! [`RemoteClient`] keeps one TCP connection open and issues batch after
 //! batch over it (the protocol is request/response, so a client is not
 //! `Sync` — open one per thread for parallel load). `pspc query
-//! --remote` and the `exp11` daemon-throughput experiment both drive
-//! this type.
+//! --remote` and the `perfbench` load generator both drive this type.
 
 use crate::proto::{self, Response};
 use pspc_graph::SpcAnswer;

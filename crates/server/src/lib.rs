@@ -22,7 +22,7 @@
 //! * [`client`] — [`RemoteClient`], the binary-protocol client behind
 //!   `pspc query --remote`;
 //! * [`cli`] — the `pspc` binary: `serve` and remote `query` here,
-//!   `build`/local `query`/`bench` delegated to [`pspc_service::cli`].
+//!   `stats`/`build`/local `query`/`bench` delegated to [`pspc_service::cli`].
 //!
 //! Both protocols share one port: connections opening with the bytes
 //! `"PSQ1"`, `"PSQ2"` (traced query) or `"PSI1"` speak the binary

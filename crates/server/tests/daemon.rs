@@ -296,13 +296,26 @@ fn shutdown_drains_in_flight_batches() {
         },
     );
 
-    // A hefty batch that is certainly still in flight when the main
-    // thread triggers shutdown.
+    // A hefty batch that is still in flight when the main thread
+    // triggers shutdown: wait until the daemon has read it and handed it
+    // to the engine, rather than guessing with a sleep that a stalled
+    // host can outlast.
     let ps = pairs(120_000, 300, 99);
     let expect = index.query_batch_sequential(&ps);
     let answers = std::thread::scope(|s| {
         let worker = s.spawn(|| RemoteClient::connect(&addr).unwrap().query_batch(&ps));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let m = handle.metrics();
+            if m.in_flight >= 1 || m.served >= 1 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the daemon never picked up the batch"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         let m = handle.shutdown(); // must wait for the batch, not kill it
         assert_eq!(m.in_flight, 0);
         worker.join().unwrap()

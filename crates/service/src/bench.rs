@@ -1,13 +1,14 @@
-//! Sustained-throughput measurement for the `pspc bench` subcommand and
-//! the service scaling experiment in `pspc_bench`.
+//! Sustained-throughput measurement for the `pspc bench` subcommand.
 //!
-//! Throughput (queries/sec) is measured with the untimed engine path —
-//! per-query clock reads would distort it — while latency percentiles
-//! come from a second, individually timed pass over the same workload.
+//! Throughput (queries/sec) comes from one pass over the whole batch;
+//! latency percentiles come from a second pass that submits the same
+//! workload as `chunk_size`-pair requests and times each request end to
+//! end, the unit a daemon client waits on.
 
 use crate::engine::QueryEngine;
 use pspc_graph::VertexId;
 use std::fmt;
+use std::time::Instant;
 
 /// Results of one benchmark run.
 #[derive(Clone, Debug)]
@@ -16,15 +17,17 @@ pub struct BenchReport {
     pub queries: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Wall seconds for the untimed throughput pass.
+    /// Wall seconds for the throughput pass.
     pub wall_secs: f64,
     /// Sustained throughput of the engine (queries/second).
     pub qps: f64,
-    /// Median per-query latency (microseconds).
+    /// Pairs per request in the latency pass (the engine's chunk size).
+    pub request_pairs: usize,
+    /// Median request latency (microseconds).
     pub p50_us: f64,
-    /// 99th-percentile per-query latency (microseconds).
+    /// 99th-percentile request latency (microseconds).
     pub p99_us: f64,
-    /// Worst per-query latency (microseconds).
+    /// Worst request latency (microseconds).
     pub max_us: f64,
     /// Queries with a finite distance.
     pub reachable: usize,
@@ -49,8 +52,8 @@ impl fmt::Display for BenchReport {
         )?;
         writeln!(
             f,
-            "latency p50 {:.2} us, p99 {:.2} us, max {:.2} us; {} reachable",
-            self.p50_us, self.p99_us, self.max_us, self.reachable
+            "latency per {}-pair request p50 {:.2} us, p99 {:.2} us, max {:.2} us; {} reachable",
+            self.request_pairs, self.p50_us, self.p99_us, self.max_us, self.reachable
         )?;
         if let (Some(seq), Some(speedup)) = (self.sequential_secs, self.speedup()) {
             writeln!(
@@ -62,17 +65,8 @@ impl fmt::Display for BenchReport {
     }
 }
 
-/// Value at quantile `q` (0..=1) of an unsorted latency sample, in the
-/// nearest-rank convention. Returns 0 on an empty sample. Callers that
-/// need several quantiles of one sample should sort once and use
-/// [`percentile_sorted_nanos`] instead of paying a sort per quantile.
-pub fn percentile_nanos(latencies: &mut [u64], q: f64) -> u64 {
-    latencies.sort_unstable();
-    percentile_sorted_nanos(latencies, q)
-}
-
-/// [`percentile_nanos`] over an **already sorted** sample: the cheap path
-/// for deriving multiple quantiles from one sort.
+/// Value at quantile `q` (0..=1) of a sorted latency sample, in the
+/// nearest-rank convention. Returns 0 on an empty sample.
 pub fn percentile_sorted_nanos(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -81,25 +75,9 @@ pub fn percentile_sorted_nanos(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Approximate quantiles through a [`pspc_obs::LogHistogram`]: records
-/// the sample once and reads every requested quantile from cumulative
-/// bucket counts — `O(n + q·buckets)` instead of the sort's
-/// `O(n log n)`, at the histogram's ~2-significant-digit resolution
-/// (each estimate overestimates its exact [`percentile_nanos`]
-/// counterpart by less than 1/32). Useful for long-running loops that
-/// cannot afford to retain and re-sort every sample; one-shot reports
-/// keep using the exact sort-based helpers.
-pub fn bucketed_percentiles(latencies: &[u64], qs: &[f64]) -> Vec<u64> {
-    let hist = pspc_obs::LogHistogram::new();
-    for &v in latencies {
-        hist.record(v);
-    }
-    let snap = hist.snapshot();
-    qs.iter().map(|&q| snap.quantile(q)).collect()
-}
-
-/// Runs the full benchmark: a warmup pass, an untimed throughput pass, a
-/// timed latency pass, and optionally the sequential baseline.
+/// Runs the full benchmark: a warmup pass, a throughput pass over the
+/// whole batch, a latency pass of `chunk_size`-pair requests, and
+/// optionally the sequential baseline.
 pub fn run_bench(
     engine: &QueryEngine,
     pairs: &[(VertexId, VertexId)],
@@ -110,13 +88,22 @@ pub fn run_bench(
     let _ = engine.run(warm);
 
     let (answers, report) = engine.run_with_report(pairs);
-    let (_, _, mut lat) = engine.run_with_latencies(pairs);
-    let p50 = percentile_nanos(&mut lat, 0.50) as f64 / 1e3;
-    let p99 = percentile_nanos(&mut lat, 0.99) as f64 / 1e3;
+    let request_pairs = engine.config().chunk_size.max(1);
+    let mut lat: Vec<u64> = pairs
+        .chunks(request_pairs)
+        .map(|request| {
+            let t0 = Instant::now();
+            engine.run(request);
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    lat.sort_unstable();
+    let p50 = percentile_sorted_nanos(&lat, 0.50) as f64 / 1e3;
+    let p99 = percentile_sorted_nanos(&lat, 0.99) as f64 / 1e3;
     let max = lat.last().copied().unwrap_or(0) as f64 / 1e3;
 
     let sequential_secs = compare_sequential.then(|| {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let seq = engine.kind().query_batch_sequential(pairs);
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(seq, answers, "engine and sequential answers diverge");
@@ -128,6 +115,7 @@ pub fn run_bench(
         workers: report.workers,
         wall_secs: report.wall_secs,
         qps: report.qps(),
+        request_pairs,
         p50_us: p50,
         p99_us: p99,
         max_us: max,
@@ -159,38 +147,11 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut v = vec![50, 10, 20, 30, 40];
-        assert_eq!(percentile_nanos(&mut v, 0.50), 30);
-        assert_eq!(percentile_nanos(&mut v, 0.99), 50);
-        assert_eq!(percentile_nanos(&mut v, 0.0), 10);
-        assert_eq!(percentile_nanos(&mut [], 0.5), 0);
-        // The sorted-input path agrees with the sorting path.
         let sorted = [10, 20, 30, 40, 50];
-        for q in [0.0, 0.25, 0.50, 0.99, 1.0] {
-            assert_eq!(
-                percentile_sorted_nanos(&sorted, q),
-                percentile_nanos(&mut sorted.to_vec(), q)
-            );
-        }
+        assert_eq!(percentile_sorted_nanos(&sorted, 0.50), 30);
+        assert_eq!(percentile_sorted_nanos(&sorted, 0.99), 50);
+        assert_eq!(percentile_sorted_nanos(&sorted, 0.0), 10);
         assert_eq!(percentile_sorted_nanos(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn bucketed_percentiles_track_exact_within_resolution() {
-        let lat: Vec<u64> = (0..5000u64).map(|i| (i * 2654435761) % 1_000_000).collect();
-        let qs = [0.0, 0.25, 0.50, 0.90, 0.99, 1.0];
-        let approx = bucketed_percentiles(&lat, &qs);
-        let mut sorted = lat.clone();
-        sorted.sort_unstable();
-        for (&q, &est) in qs.iter().zip(&approx) {
-            let exact = percentile_sorted_nanos(&sorted, q);
-            assert!(est >= exact, "bucket bound must not undershoot");
-            assert!(
-                est as f64 <= exact as f64 * (1.0 + 1.0 / 32.0) + 1.0,
-                "q={q}: {est} vs exact {exact} exceeds the error bound"
-            );
-        }
-        assert!(bucketed_percentiles(&[], &qs).iter().all(|&v| v == 0));
     }
 
     #[test]
@@ -209,6 +170,7 @@ mod tests {
         let pairs = random_pairs(200, 5000, 42);
         let r = run_bench(&engine, &pairs, true);
         assert_eq!(r.queries, 5000);
+        assert_eq!(r.request_pairs, 256);
         assert!(r.qps > 0.0);
         assert!(r.p50_us <= r.p99_us && r.p99_us <= r.max_us);
         assert!(r.sequential_secs.is_some());

@@ -1,6 +1,7 @@
 //! Argument parsing and subcommand dispatch for the `pspc` binary.
 //!
 //! ```text
+//! pspc stats <edges.txt>
 //! pspc build <edges.txt> -o <index.pspc> [--order degree|td|sig|hybrid[:δ]]
 //!            [--landmarks k] [--threads t] [--push] [--static] [--no-cache]
 //!            [--directed | --dynamic]
@@ -10,7 +11,9 @@
 //!            [--no-sort] [--compare]
 //! ```
 //!
-//! `build` goes through the binary edge-list cache
+//! `stats` prints the vertex/edge counts, degrees, component count and
+//! an approximate diameter of an edge list. `build` goes through the
+//! binary edge-list cache
 //! ([`pspc_graph::io::load_or_build_cache`]): the first build of a dataset
 //! parses the text and drops an `<edges>.pspcg` snapshot next to it;
 //! subsequent builds load the snapshot. `--directed` treats each input
@@ -20,9 +23,9 @@
 //! stdin (`--pairs -`), or inline from the argument list, answers them
 //! on the worker pool over **whichever kind the snapshot holds** (the
 //! kind is auto-detected from the magic), and prints
-//! `s\tt\tdist\tcount` lines. `bench` reports sustained throughput and
-//! latency percentiles for a random workload, optionally against the
-//! sequential baseline (`--compare`).
+//! `s\tt\tdist\tcount` lines. `bench` reports sustained throughput and the
+//! latency percentiles of `--chunk`-pair requests for a random workload,
+//! optionally against the sequential baseline (`--compare`).
 
 use crate::bench::{random_pairs, run_bench};
 use crate::engine::{EngineConfig, QueryEngine};
@@ -39,10 +42,12 @@ use pspc_core::{
 };
 use pspc_graph::digraph::DiGraphBuilder;
 use pspc_graph::io::{load_or_build_cache_verbose, read_edge_list_file, CacheOutcome};
+use pspc_graph::GraphStats;
 use pspc_obs::{info, warn};
 use pspc_order::OrderingStrategy;
 
-const USAGE: &str = "usage: pspc build <edges> -o <index> [--order o] [--landmarks k] \
+const USAGE: &str = "usage: pspc stats <edges> | \
+pspc build <edges> -o <index> [--order o] [--landmarks k] \
 [--threads t] [--push] [--static] [--no-cache] [--directed | --dynamic] \
 [--shard-bytes n] | \
 pspc query <index> [--pairs <file|->] [--workers n] [--chunk n] [--no-sort] \
@@ -74,6 +79,7 @@ impl std::str::FromStr for OutputFormat {
 /// Entry point shared by `main` and the tests.
 pub fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
+        Some("stats") => cmd_stats(&args[1..]),
         Some("build") => cmd_build(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
@@ -102,6 +108,21 @@ fn parse_order(s: &str) -> Result<OrderingStrategy, String> {
             }
         }
     }
+}
+
+fn cmd_stats(args: &[String]) -> Result<(), String> {
+    let [path] = args else {
+        return Err("stats: expected exactly one edge-list path".into());
+    };
+    let g = read_edge_list_file(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let s = GraphStats::compute(&g);
+    println!("vertices           {}", s.num_vertices);
+    println!("edges              {}", s.num_edges);
+    println!("avg degree         {:.2}", s.avg_degree);
+    println!("max degree         {}", s.max_degree);
+    println!("components         {}", s.num_components);
+    println!("diameter (approx)  {}", s.diameter_estimate);
+    Ok(())
 }
 
 /// Which index kind `pspc build` produces.
@@ -484,6 +505,7 @@ mod tests {
             OrderingStrategy::Hybrid { delta: 9 }
         );
         assert!(parse_order("nope").is_err());
+        assert!(parse_order("hybrid:x").is_err());
     }
 
     #[test]
@@ -509,6 +531,9 @@ mod tests {
         let e = edges.to_str().unwrap();
         let i = index.to_str().unwrap();
         let q = queries.to_str().unwrap();
+
+        run(&s(&["stats", e])).unwrap();
+        assert!(run(&s(&["stats"])).is_err());
 
         // Build twice: the second run must hit the binary cache.
         run(&s(&[

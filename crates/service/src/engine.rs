@@ -218,16 +218,13 @@ struct Task {
     /// When the chunk entered the submission queue (for the queue-wait
     /// stage of request traces).
     enqueued: Instant,
-    /// Record per-query latencies.
-    time_queries: bool,
     /// Per-batch reply queue.
     reply: Sender<Part>,
 }
 
-/// `(chunk index, answers, per-query nanoseconds, queue-wait ns,
-/// execution ns)` — the last two feed request traces and the per-worker
-/// gauges.
-type Part = (usize, Vec<SpcAnswer>, Vec<u64>, u64, u64);
+/// `(chunk index, answers, queue-wait ns, execution ns)` — the last two
+/// feed request traces and the per-worker gauges.
+type Part = (usize, Vec<SpcAnswer>, u64, u64);
 
 /// Per-worker busy-time/chunk counters, indexed by worker id. Always on:
 /// the cost is two `Relaxed` `fetch_add`s per *chunk* (≥1024 queries by
@@ -429,21 +426,13 @@ fn worker_loop(
         let wait_ns = dequeued.duration_since(task.enqueued).as_nanos() as u64;
         let slice = &task.batch[task.lo..task.hi];
         let mut out = buffers.take();
-        let mut lat = Vec::new();
-        if task.time_queries {
-            // One read-lock acquisition per chunk, same as the untimed
-            // path — timing must not weaken the insert/query
-            // consistency the kind documents.
-            index.query_rank_batch_timed_into(slice, &mut out, &mut lat);
-        } else {
-            index.query_rank_batch_into(slice, &mut out);
-        }
+        index.query_rank_batch_into(slice, &mut out);
         let exec_ns = dequeued.elapsed().as_nanos() as u64;
         stats.busy_ns[id].fetch_add(exec_ns, Ordering::Relaxed);
         stats.chunks[id].fetch_add(1, Ordering::Relaxed);
         // A submitter that vanished (disconnected reply) is not an error
         // for the pool; the work is simply discarded.
-        let _ = task.reply.send((task.chunk, out, lat, wait_ns, exec_ns));
+        let _ = task.reply.send((task.chunk, out, wait_ns, exec_ns));
     }
 }
 
@@ -763,10 +752,8 @@ impl QueryEngine {
 
     /// Answers a batch and reports wall-clock facts.
     pub fn run_with_report(&self, pairs: &[(VertexId, VertexId)]) -> (Vec<SpcAnswer>, BatchReport) {
-        let (answers, report, _) = self
-            .execute(pairs, false, false, None)
-            .expect("blocking submission cannot be rejected");
-        (answers, report)
+        self.execute(pairs, false, None)
+            .expect("blocking submission cannot be rejected")
     }
 
     /// Admission-controlled batch execution: **rejects** instead of
@@ -777,8 +764,7 @@ impl QueryEngine {
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Result<(Vec<SpcAnswer>, BatchReport), SubmitError> {
-        let (answers, report, _) = self.execute(pairs, false, true, None)?;
-        Ok((answers, report))
+        self.execute(pairs, true, None)
     }
 
     /// [`QueryEngine::try_run`] with per-stage attribution into `span`:
@@ -792,21 +778,7 @@ impl QueryEngine {
         pairs: &[(VertexId, VertexId)],
         span: &mut Span,
     ) -> Result<(Vec<SpcAnswer>, BatchReport), SubmitError> {
-        let (answers, report, _) = self.execute(pairs, false, true, Some(span))?;
-        Ok((answers, report))
-    }
-
-    /// Answers a batch, additionally timing every query individually
-    /// (nanoseconds, in processing order — suitable for percentile
-    /// latency reports; the per-query `Instant` reads add measurable
-    /// overhead, so throughput numbers should come from
-    /// [`QueryEngine::run_with_report`]).
-    pub fn run_with_latencies(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-    ) -> (Vec<SpcAnswer>, BatchReport, Vec<u64>) {
-        self.execute(pairs, true, false, None)
-            .expect("blocking submission cannot be rejected")
+        self.execute(pairs, true, Some(span))
     }
 
     /// Closes the submission queue and joins the workers after they drain
@@ -829,28 +801,23 @@ impl QueryEngine {
     /// can therefore only reject fresh entries, never admit stale ones).
     /// With the cache disabled this is a straight passthrough.
     ///
-    /// On the timed path the returned latency vector is the hit probes'
-    /// latencies followed by the pool's per-query latencies — `n` samples
-    /// either way, suitable for percentile reports.
-    ///
     /// Statistics caveat: when admission control rejects the residual
     /// batch, probe hits/misses have already been counted — a shed batch
     /// leaves its probe trace in [`crate::cache::CacheStats`].
     fn execute(
         &self,
         pairs: &[(VertexId, VertexId)],
-        time_queries: bool,
         admission: bool,
         mut span: Option<&mut Span>,
-    ) -> Result<(Vec<SpcAnswer>, BatchReport, Vec<u64>), SubmitError> {
+    ) -> Result<(Vec<SpcAnswer>, BatchReport), SubmitError> {
         let Some(cache) = &self.cache else {
-            let out = self.execute_pool(pairs, time_queries, admission, span)?;
+            let out = self.execute_pool(pairs, admission, span)?;
             self.record_workload(pairs, 0, out.1.wall_secs);
             return Ok(out);
         };
         let n = pairs.len();
         if n == 0 {
-            return self.execute_pool(pairs, time_queries, admission, span);
+            return self.execute_pool(pairs, admission, span);
         }
         let t0 = Instant::now();
         // Load the generation *before* computing anything: an insert
@@ -862,16 +829,9 @@ impl QueryEngine {
         let mut answers = vec![SpcAnswer::UNREACHABLE; n];
         let mut missing_idx: Vec<u32> = Vec::new();
         let mut missing_pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut latencies = Vec::new();
         for (i, &p) in pairs.iter().enumerate() {
-            let probe_t0 = time_queries.then(Instant::now);
             match cache.get(p, generation) {
-                Some(a) => {
-                    answers[i] = a;
-                    if let Some(t) = probe_t0 {
-                        latencies.push(t.elapsed().as_nanos() as u64);
-                    }
-                }
+                Some(a) => answers[i] = a,
                 None => {
                     missing_idx.push(i as u32);
                     missing_pairs.push(p);
@@ -885,13 +845,11 @@ impl QueryEngine {
         let (chunks, workers) = if missing_pairs.is_empty() {
             (0, 0)
         } else {
-            let (sub_answers, sub_report, sub_lat) =
-                self.execute_pool(&missing_pairs, time_queries, admission, span)?;
+            let (sub_answers, sub_report) = self.execute_pool(&missing_pairs, admission, span)?;
             for (k, &i) in missing_idx.iter().enumerate() {
                 answers[i as usize] = sub_answers[k];
                 cache.insert(missing_pairs[k], sub_answers[k], generation);
             }
-            latencies.extend(sub_lat);
             (sub_report.chunks, sub_report.workers)
         };
 
@@ -903,17 +861,16 @@ impl QueryEngine {
             reachable: answers.iter().filter(|a| a.is_reachable()).count(),
         };
         self.record_workload(pairs, (n - missing_idx.len()) as u64, report.wall_secs);
-        Ok((answers, report, latencies))
+        Ok((answers, report))
     }
 
     /// The pool path: rank-translate, order, chunk, dispatch, merge.
     fn execute_pool(
         &self,
         pairs: &[(VertexId, VertexId)],
-        time_queries: bool,
         admission: bool,
         mut span: Option<&mut Span>,
-    ) -> Result<(Vec<SpcAnswer>, BatchReport, Vec<u64>), SubmitError> {
+    ) -> Result<(Vec<SpcAnswer>, BatchReport), SubmitError> {
         let n = pairs.len();
         let chunk = self.cfg.chunk_size.max(1);
         let t0 = Instant::now();
@@ -925,7 +882,7 @@ impl QueryEngine {
                 wall_secs: t0.elapsed().as_secs_f64(),
                 reachable: 0,
             };
-            return Ok((Vec::new(), report, Vec::new()));
+            return Ok((Vec::new(), report));
         }
 
         // Translate vertex ids to ranks once — the sort key and the
@@ -956,7 +913,6 @@ impl QueryEngine {
             hi: (c * chunk + chunk).min(n),
             chunk: c,
             enqueued: Instant::now(),
-            time_queries,
             reply: reply_tx.clone(),
         };
 
@@ -994,8 +950,7 @@ impl QueryEngine {
         }
 
         // Collect every chunk's part, then merge in chunk order: keeps
-        // the answer scatter cache-friendly and the latency vector
-        // deterministic (aligned with the processing order).
+        // the answer scatter cache-friendly.
         let mut parts: Vec<Part> = Vec::with_capacity(num_chunks);
         while parts.len() < num_chunks {
             match reply_rx.recv() {
@@ -1005,7 +960,7 @@ impl QueryEngine {
         }
         parts.sort_unstable_by_key(|&(c, ..)| c);
         if let Some(s) = span.as_mut() {
-            for &(_, _, _, wait_ns, exec_ns) in &parts {
+            for &(_, _, wait_ns, exec_ns) in &parts {
                 // Queue wait is the *longest* chunk delay (the batch
                 // cannot finish sooner); execution is *summed* worker
                 // busy time, so it can exceed wall clock when chunks ran
@@ -1016,18 +971,13 @@ impl QueryEngine {
         }
         let merge_t0 = Instant::now();
         let mut answers = vec![SpcAnswer::UNREACHABLE; n];
-        let mut latencies = Vec::new();
-        if time_queries {
-            latencies.reserve(n);
-        }
-        for (c, out, lat, _, _) in parts {
+        for (c, out, _, _) in parts {
             let lo = c * chunk;
             for (k, &a) in out.iter().enumerate() {
                 answers[order[lo + k] as usize] = a;
             }
             // Thread the drained buffer back to the workers.
             self.buffers.put(out);
-            latencies.extend(lat);
         }
         if let Some(s) = span.as_mut() {
             s.add(Stage::Merge, merge_t0.elapsed().as_nanos() as u64);
@@ -1040,7 +990,7 @@ impl QueryEngine {
             wall_secs: t0.elapsed().as_secs_f64(),
             reachable: answers.iter().filter(|a| a.is_reachable()).count(),
         };
-        Ok((answers, report, latencies))
+        Ok((answers, report))
     }
 }
 
@@ -1122,20 +1072,6 @@ mod tests {
             answers.iter().filter(|a| a.is_reachable()).count()
         );
         assert!(report.qps() > 0.0);
-    }
-
-    #[test]
-    fn latencies_cover_every_query() {
-        let e = engine(EngineConfig {
-            workers: 2,
-            chunk_size: 64,
-            sort_by_rank: true,
-            ..EngineConfig::default()
-        });
-        let ps = pairs(333, 300, 5);
-        let (answers, _, lat) = e.run_with_latencies(&ps);
-        assert_eq!(answers, e.index().query_batch_sequential(&ps));
-        assert_eq!(lat.len(), ps.len());
     }
 
     #[test]
@@ -1255,13 +1191,10 @@ mod tests {
             stats.hits >= ps.len() as u64,
             "second pass must be all hits: {stats:?}"
         );
-        // try_run and the timed path go through the same front-end.
+        // try_run goes through the same front-end.
         let (answers, report) = e.try_run(&ps).expect("idle queue");
         assert_eq!(answers, expect);
         assert_eq!(report.chunks, 0, "full hit submits nothing to the pool");
-        let (answers, _, lat) = e.run_with_latencies(&ps);
-        assert_eq!(answers, expect);
-        assert_eq!(lat.len(), ps.len(), "timed path covers hits too");
     }
 
     #[test]
@@ -1418,6 +1351,18 @@ mod tests {
         assert!(
             live < 100_000,
             "adaptive engine must shrink an oversized cache (live {live})"
+        );
+        // The shrink lands on the advisor's own verdict: the live
+        // capacity sits within its resize threshold of the
+        // recommendation, so a steady workload triggers no further
+        // resizes.
+        let rec = e
+            .recommended_cache_capacity()
+            .expect("advisor published a recommendation") as f64;
+        let drift = (rec - live as f64).abs() / live as f64;
+        assert!(
+            drift <= advisor::RESIZE_THRESHOLD,
+            "capacity {live} has not converged onto recommendation {rec:.0}"
         );
         // Answers stay correct across the resize.
         assert_eq!(e.run(&ps), e.index().query_batch_sequential(&ps));

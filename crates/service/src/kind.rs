@@ -210,16 +210,6 @@ impl IndexKind {
         }
     }
 
-    /// One rank-space query (the engine's per-query timing path).
-    pub fn query_ranks(&self, rs: u32, rt: u32) -> SpcAnswer {
-        match self {
-            IndexKind::Undirected(i) => i.query_ranks(rs, rt),
-            IndexKind::Directed(i) => i.query_ranks(rs, rt),
-            IndexKind::Dynamic(d) => dyn_answer(d.index.read().distance_ranks(rs, rt)),
-            IndexKind::Sharded(i) => i.query_ranks(rs, rt),
-        }
-    }
-
     /// Rank-space chunk evaluation into a caller-owned buffer (`out` is
     /// cleared and refilled index-aligned). The dynamic kind holds the
     /// read lock for the whole chunk, so an insert waits for at most one
@@ -237,40 +227,6 @@ impl IndexKind {
                         .iter()
                         .map(|&(rs, rt)| dyn_answer(idx.distance_ranks(rs, rt))),
                 );
-            }
-        }
-    }
-
-    /// Timed rank-space chunk evaluation: like
-    /// [`IndexKind::query_rank_batch_into`] but also records each
-    /// query's latency (nanoseconds, processing order) into `lat`. The
-    /// dynamic kind holds one read lock across the whole chunk, so the
-    /// timed path keeps the same chunk-level insert/query consistency
-    /// as the untimed one.
-    pub fn query_rank_batch_timed_into(
-        &self,
-        rank_pairs: &[(u32, u32)],
-        out: &mut Vec<SpcAnswer>,
-        lat: &mut Vec<u64>,
-    ) {
-        out.clear();
-        lat.clear();
-        out.reserve(rank_pairs.len());
-        lat.reserve(rank_pairs.len());
-        let mut run = |query: &mut dyn FnMut(u32, u32) -> SpcAnswer| {
-            for &(rs, rt) in rank_pairs {
-                let q0 = std::time::Instant::now();
-                out.push(query(rs, rt));
-                lat.push(q0.elapsed().as_nanos() as u64);
-            }
-        };
-        match self {
-            IndexKind::Undirected(i) => run(&mut |rs, rt| i.query_ranks(rs, rt)),
-            IndexKind::Directed(i) => run(&mut |rs, rt| i.query_ranks(rs, rt)),
-            IndexKind::Sharded(i) => run(&mut |rs, rt| i.query_ranks(rs, rt)),
-            IndexKind::Dynamic(d) => {
-                let idx = d.index.read();
-                run(&mut |rs, rt| dyn_answer(idx.distance_ranks(rs, rt)));
             }
         }
     }

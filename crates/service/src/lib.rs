@@ -29,9 +29,9 @@
 //!   (`pspc_cache_recommended_capacity`) and, under
 //!   `pspc serve --cache-adaptive`, resizes the cache between windows;
 //! * [`bench`] — sustained-throughput measurement (queries/sec, p50/p99
-//!   latency) and the sequential baseline comparison;
+//!   request latency) and the sequential baseline comparison;
 //! * [`pairs`] — text and JSON I/O for query workloads;
-//! * [`cli`] — the `build`/`query`/`bench` subcommands of the `pspc`
+//! * [`cli`] — the `stats`/`build`/`query`/`bench` subcommands of the `pspc`
 //!   binary (which lives in `pspc_server`, where `serve`, `migrate`,
 //!   `query --remote` and `insert --remote` are added on top).
 //!

@@ -19,7 +19,7 @@
 //!   chunked sharding, admission control);
 //! * [`server`] ([`pspc_server`]) — the network serving daemon (HTTP +
 //!   framed binary protocol on one port, load shedding, live metrics)
-//!   and the `pspc` CLI (`build`/`query`/`bench`/`serve`).
+//!   and the `pspc` CLI (`stats`/`build`/`query`/`bench`/`serve`).
 //!
 //! ## Quickstart
 //!

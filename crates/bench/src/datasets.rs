@@ -4,7 +4,7 @@
 //! exceed this environment; each stand-in matches the *family* of degree
 //! structure (scale-free social, web crawl, spatial, community) and
 //! preserves the paper's average degree and the relative size ordering at
-//! roughly 1/150 scale (see DESIGN.md §2). `scale` multiplies the vertex
+//! roughly 1/150 scale. `scale` multiplies the vertex
 //! count; every generator is seeded, so workloads are reproducible.
 
 use pspc_graph::components::connect_components;

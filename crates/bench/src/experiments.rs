@@ -2,8 +2,9 @@
 //!
 //! Each function prints the same rows/series the corresponding figure or
 //! table reports; the `exp*` binaries are thin wrappers. Absolute numbers
-//! differ from the paper (synthetic stand-in datasets, single-core machine —
-//! DESIGN.md §2); the *shapes* are what EXPERIMENTS.md tracks.
+//! differ from the paper (synthetic stand-in datasets, far fewer cores than
+//! its 20); the *shapes* — orderings and trends across datasets, thread
+//! counts and ablations — are what should match.
 
 use crate::datasets::{DatasetSpec, DATASETS};
 use crate::harness::*;
@@ -262,9 +263,9 @@ pub fn exp3_query_time(opt: &ExpOptions) {
 
 /// Exp 4 (Fig. 8): indexing speedup vs #threads on FB, GO, GW, WI.
 ///
-/// Wall-clock speedup requires the paper's 20-core testbed; on this
-/// machine the work model replays the recorded per-vertex work as a
-/// makespan simulation under the dynamic schedule (DESIGN.md §2).
+/// Wall-clock speedup needs the paper's 20-core testbed, so the work model
+/// replays the recorded per-vertex work (see [`WorkModel`] for what it
+/// counts) as a makespan simulation under the dynamic schedule.
 pub fn exp4_index_speedup(opt: &ExpOptions) {
     let mut series = Vec::new();
     for d in selected(opt, &["FB", "GO", "GW", "WI"]) {

@@ -23,6 +23,7 @@ mod pull;
 mod push;
 pub mod schedule;
 
+pub(crate) use pull::probe;
 pub use schedule::{SchedulePlan, WorkModel};
 
 use crate::common::{to_rank_space, weights_to_rank_space};
@@ -103,7 +104,9 @@ pub struct PspcBuildStats {
     pub iterations: usize,
     /// New label entries created per iteration.
     pub entries_per_iteration: Vec<usize>,
-    /// Total work units per iteration (candidates scanned + query probes).
+    /// Total work units per iteration: label entries the builder reads
+    /// (candidates scanned, `L(u)` loaded for filtering, probe entries up
+    /// to the first witness) plus one per landmark test.
     pub work_per_iteration: Vec<u64>,
     /// Landmark table bytes (construction-time scratch).
     pub landmark_table_bytes: usize,
@@ -445,16 +448,24 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let (idx, _) = build_pspc(g, &PspcConfig::default());
             let truth = spc_all_pairs(g);
             let n = g.num_vertices() as u32;
-            for s in 0..n {
-                for t in 0..n {
-                    assert_eq!(
-                        idx.query(s, t),
-                        truth[s as usize][t as usize],
-                        "graph {i} mismatch at ({s},{t})"
-                    );
+            // With the default 100 landmarks every hub of these graphs is
+            // a landmark; fewer send most pruning through the label probe.
+            for num_landmarks in [0usize, 4] {
+                let cfg = PspcConfig {
+                    num_landmarks,
+                    ..PspcConfig::default()
+                };
+                let (idx, _) = build_pspc(g, &cfg);
+                for s in 0..n {
+                    for t in 0..n {
+                        assert_eq!(
+                            idx.query(s, t),
+                            truth[s as usize][t as usize],
+                            "graph {i} landmarks={num_landmarks} mismatch at ({s},{t})"
+                        );
+                    }
                 }
             }
         }
@@ -514,14 +525,24 @@ mod tests {
         let g = erdos_renyi(40, 90, 9);
         let w: Vec<Count> = (0..40).map(|v| 1 + (v % 3) as Count).collect();
         let o = OrderingStrategy::Degree.compute(&g);
-        let (idx, _) = build_pspc_with_order(&g, o, Some(&w), &PspcConfig::default());
-        for s in 0..40u32 {
-            for t in 0..40u32 {
-                if s == t {
-                    continue;
+        for num_landmarks in [0usize, 4] {
+            let cfg = PspcConfig {
+                num_landmarks,
+                ..PspcConfig::default()
+            };
+            let (idx, _) = build_pspc_with_order(&g, o.clone(), Some(&w), &cfg);
+            for s in 0..40u32 {
+                for t in 0..40u32 {
+                    if s == t {
+                        continue;
+                    }
+                    let truth = pspc_graph::spc_bfs::spc_pair_weighted(&g, s, t, Some(&w));
+                    assert_eq!(
+                        idx.query(s, t),
+                        truth,
+                        "landmarks={num_landmarks} mismatch at ({s},{t})"
+                    );
                 }
-                let truth = pspc_graph::spc_bfs::spc_pair_weighted(&g, s, t, Some(&w));
-                assert_eq!(idx.query(s, t), truth, "mismatch at ({s},{t})");
             }
         }
     }

@@ -8,17 +8,31 @@
 //! snapshot `L_{≤d-1}` (Lemma 4) — answered in O(1) when the hub is a
 //! landmark. Survivors become `L_d(u)`.
 //!
+//! The pruning query is a yes/no question, so [`probe`] answers it by
+//! scanning `L(w)` against `u`'s loaded label under two exact rules:
+//!
+//! * **First witness.** A candidate `(w, d)` is pruned iff *some* hub `x`
+//!   has `dist(w, x) + dist(x, u) < d`, so the scan stops at the first such
+//!   `x` instead of taking the minimum over every common hub.
+//! * **Newest level.** The level-`d-1` entries of `L(w)` have distance
+//!   `d-1`, so they could only witness together with `dist(x, u) = 0`,
+//!   i.e. `x = u`. But hubs of `L(w)` rank at or above `w`, which ranks
+//!   above `u`, so `u` is never one: only `L(w)[..prev_start[w]]` is
+//!   probed.
+//!
+//! Neither rule changes a prune decision, so the index is the same ESPC.
+//!
 //! Everything reads the frozen snapshot and writes a private output buffer,
 //! so iterations are data-race-free and the result is bit-identical for any
 //! thread count — the paper's determinism observation (Exp 2).
 
 use super::PropagationCtx;
 use crate::label::{Count, LabelEntry};
-use crate::scratch::Workspace;
+use crate::scratch::{DistScratch, Workspace};
 
 /// Processes vertex `u` for iteration `ctx.d`: fills `out` with the new
 /// level-`d` entries (sorted by hub) and returns the work units expended
-/// (candidate entries scanned plus query probes).
+/// (candidate entries scanned plus what [`filter_candidates`] reads).
 pub(crate) fn process_vertex(
     ctx: &PropagationCtx<'_>,
     u: u32,
@@ -69,7 +83,8 @@ pub(crate) fn process_vertex(
 
 /// Applies Label Elimination and the pruning query to candidates
 /// `(h, ws.cand.count(h))` for `h` in `hubs` (ascending), appending
-/// survivors to `out`. Returns query work units.
+/// survivors to `out`. Returns the work units read: every entry of `L(u)`
+/// loaded, one per landmark test, and every `L(w)` entry a probe reads.
 ///
 /// `ws.dist` is (re)loaded with `u`'s current label here; `ws.cand` must
 /// already hold the merged candidate counts.
@@ -80,9 +95,10 @@ pub(crate) fn filter_candidates(
     hubs: &[u32],
     out: &mut Vec<LabelEntry>,
 ) -> u64 {
-    let mut work = 0u64;
+    let lu = &ctx.labels[u as usize];
+    let mut work = lu.len() as u64;
     ws.dist.clear();
-    for e in &ctx.labels[u as usize] {
+    for e in lu {
         ws.dist.set(e.hub, e.dist);
     }
     let d = ctx.d;
@@ -102,17 +118,11 @@ pub(crate) fn filter_candidates(
                 lm.prunes(w, u, d)
             }
             (_, _) => {
-                // Query(w, u, L_{≤ d-1}): probe u's loaded label with every
-                // entry of the (short — w is high-ranked) label of w.
-                let lw = &ctx.labels[w as usize];
-                work += lw.len() as u64;
-                let mut q = u32::MAX;
-                for e in lw {
-                    if let Some(du) = ws.dist.get(e.hub) {
-                        q = q.min(e.dist as u32 + du as u32);
-                    }
-                }
-                q < d as u32
+                // Query(w, u, L_{≤ d-1}) over L(w) without its newest level.
+                let older = &ctx.labels[w as usize][..ctx.prev_start[w as usize] as usize];
+                let (pruned, read) = probe(older, &ws.dist, d);
+                work += read;
+                pruned
             }
         };
         if !pruned {
@@ -124,4 +134,20 @@ pub(crate) fn filter_candidates(
         }
     }
     work
+}
+
+/// The 2-hop pruning probe: whether some hub `x` of `lw` (a slice of
+/// `L(w)`) has `dist(w, x) + dist(x, u) < d`, where `dist` holds `u`'s
+/// label. Stops at the first such witness. Returns the decision and the
+/// number of `lw` entries read.
+#[inline]
+pub(crate) fn probe(lw: &[LabelEntry], dist: &DistScratch, d: u16) -> (bool, u64) {
+    let witness = lw.iter().position(|e| {
+        dist.get(e.hub)
+            .is_some_and(|du| (e.dist as u32 + du as u32) < d as u32)
+    });
+    match witness {
+        Some(i) => (true, i as u64 + 1),
+        None => (false, lw.len() as u64),
+    }
 }

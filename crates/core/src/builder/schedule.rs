@@ -9,11 +9,24 @@
 //!   approximating Definition 11) and chunks are dispensed to threads on
 //!   demand (work stealing).
 //!
-//! Because this reproduction runs on a single-core machine (see DESIGN.md),
-//! the module also provides [`WorkModel`]: the builder records the exact
-//! per-vertex work of every iteration, and the model replays any
+//! Wall-clock speedup needs as many cores as threads, and Figs. 8–9 use up
+//! to 20. So the module also provides [`WorkModel`]: the builder records
+//! the per-vertex work of every iteration, and the model replays any
 //! thread-count/schedule combination as a makespan simulation — which is
 //! precisely the load-balance quantity Figs. 8–9 measure.
+//!
+//! A work unit is one label entry the builder reads, or one landmark test.
+//! For vertex `u` in iteration `d` that is:
+//!
+//! * the level-`d-1` entries of `u`'s neighbors scanned as candidates
+//!   (under push, each emitted candidate instead);
+//! * every entry of `L(u)`, loaded into the distance scratch before its
+//!   candidates are filtered;
+//! * for each pruning probe, the entries of `L(w)` read up to and
+//!   including the first witness;
+//! * one per candidate a landmark table decides.
+//!
+//! Label Elimination lookups and the barrier's appends are not charged.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -146,7 +159,8 @@ impl WorkModel {
 
     /// Modelled speedup over one thread: `total_work / makespan(t)`.
     /// This is what Fig. 8 plots (wall-clock on the paper's 20-core box;
-    /// load-balance-limited ideal here — see DESIGN.md substitutions).
+    /// here the load-balance-limited ideal, which ignores memory bandwidth
+    /// and barrier cost).
     pub fn speedup(&self, threads: usize, plan: SchedulePlan) -> f64 {
         let total = self.total_work();
         if total == 0 {

@@ -86,14 +86,12 @@ pub fn build_di_hpspc_with_order(g: &DiGraph, order: VertexOrder) -> DiSpcIndex 
             }
             next.clear();
             for &v in &discovered {
-                let mut q = u32::MAX;
-                for e in &lin[v as usize] {
+                // Pruned at the first hub witnessing a shorter s -> v path.
+                let pruned = lin[v as usize].iter().any(|e| {
                     let ds = hub_dist[e.hub as usize];
-                    if ds != UNREACHABLE {
-                        q = q.min(ds as u32 + e.dist as u32);
-                    }
-                }
-                if q < d as u32 {
+                    ds != UNREACHABLE && (ds as u32 + e.dist as u32) < d as u32
+                });
+                if pruned {
                     continue;
                 }
                 lin[v as usize].push(LabelEntry {
@@ -146,14 +144,12 @@ pub fn build_di_hpspc_with_order(g: &DiGraph, order: VertexOrder) -> DiSpcIndex 
             }
             next.clear();
             for &v in &discovered {
-                let mut q = u32::MAX;
-                for e in &lout[v as usize] {
+                // Pruned at the first hub witnessing a shorter v -> s path.
+                let pruned = lout[v as usize].iter().any(|e| {
                     let ds = hub_dist[e.hub as usize];
-                    if ds != UNREACHABLE {
-                        q = q.min(e.dist as u32 + ds as u32);
-                    }
-                }
-                if q < d as u32 {
+                    ds != UNREACHABLE && (e.dist as u32 + ds as u32) < d as u32
+                });
+                if pruned {
                     continue;
                 }
                 lout[v as usize].push(LabelEntry {

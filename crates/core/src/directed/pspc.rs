@@ -10,12 +10,24 @@
 //! * `Lout_d(u)` by pulling the level-`d−1` out-label entries of `u`'s
 //!   **out**-neighbors, pruned by the backward query `Lout(u) / Lin(w)`.
 //!
+//! Both queries go through the undirected builder's `probe` under its two
+//! exact rules:
+//!
+//! * **First witness.** A candidate is pruned iff *some* hub gives a path
+//!   shorter than `d`, so the probe stops at the first one.
+//! * **Newest level.** The level-`d−1` entries of the probed label
+//!   (`Lout(w)` when extending `Lin`, `Lin(w)` when extending `Lout`) could
+//!   only witness with `u` itself at distance 0. But hubs of either label
+//!   of `w` rank at or above `w`, which ranks above `u`, so that level is
+//!   skipped, using the *other* side's `prev_start`.
+//!
 //! Landmark filtering keeps two distance tables per landmark rank: forward
 //! (BFS over out-arcs) for in-label pruning and backward (over in-arcs)
 //! for out-label pruning. As in the undirected builder, all reads hit the
 //! frozen snapshot and the result is deterministic for any thread count.
 
 use super::DiSpcIndex;
+use crate::builder::probe;
 use crate::label::{IndexStats, LabelEntry, LabelSet};
 use crate::scratch::{Workspace, WorkspacePool};
 use pspc_graph::digraph::{di_bfs_backward_into, di_bfs_forward_into, DiGraph};
@@ -144,6 +156,15 @@ pub fn build_di_pspc_with_order(
             Some(v) => v,
             None => break,
         };
+        let sin = Side {
+            labels: &lin,
+            prev_start: &ps_in,
+        };
+        let sout = Side {
+            labels: &lout,
+            prev_start: &ps_out,
+        };
+        let lm = landmarks.as_ref();
         // One parallel pass computes both directions' new levels; each
         // vertex slot is written by exactly one task.
         let new: Vec<(Vec<LabelEntry>, Vec<LabelEntry>)> = pool.install(|| {
@@ -152,28 +173,8 @@ pub fn build_di_pspc_with_order(
                 .with_min_len(256)
                 .map(|u| {
                     wpool.with(|ws| {
-                        let new_in = propagate_side(
-                            &rg,
-                            u,
-                            d,
-                            &lin,
-                            &lout,
-                            &ps_in,
-                            landmarks.as_ref(),
-                            ws,
-                            true,
-                        );
-                        let new_out = propagate_side(
-                            &rg,
-                            u,
-                            d,
-                            &lout,
-                            &lin,
-                            &ps_out,
-                            landmarks.as_ref(),
-                            ws,
-                            false,
-                        );
+                        let new_in = propagate_side(&rg, u, d, sin, sout, lm, ws, true);
+                        let new_out = propagate_side(&rg, u, d, sout, sin, lm, ws, false);
                         (new_in, new_out)
                     })
                 })
@@ -204,6 +205,14 @@ pub fn build_di_pspc_with_order(
     DiSpcIndex::new(order, lin, lout, stats)
 }
 
+/// One label direction's frozen snapshot: the labels, and where each
+/// vertex's level-`d−1` entries start.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    labels: &'a [Vec<LabelEntry>],
+    prev_start: &'a [u32],
+}
+
 /// Computes one side's level-`d` entries for vertex `u`.
 ///
 /// `own` is the side being extended (`lin` when `in_side`, else `lout`);
@@ -213,9 +222,8 @@ fn propagate_side(
     rg: &DiGraph,
     u: u32,
     d: u16,
-    own: &[Vec<LabelEntry>],
-    other: &[Vec<LabelEntry>],
-    prev_start: &[u32],
+    own: Side<'_>,
+    other: Side<'_>,
     landmarks: Option<&DiLandmarks>,
     ws: &mut Workspace,
     in_side: bool,
@@ -227,8 +235,8 @@ fn propagate_side(
         rg.out_neighbors(u)
     };
     for &v in sources {
-        let start = prev_start[v as usize] as usize;
-        for e in &own[v as usize][start..] {
+        let start = own.prev_start[v as usize] as usize;
+        for e in &own.labels[v as usize][start..] {
             if e.hub < u {
                 ws.cand.add(e.hub, e.count);
             }
@@ -239,7 +247,7 @@ fn propagate_side(
     }
     // Load u's own-side label for elimination and the query probe.
     ws.dist.clear();
-    for e in &own[u as usize] {
+    for e in &own.labels[u as usize] {
         ws.dist.set(e.hub, e.dist);
     }
     let mut hubs: Vec<u32> = ws.cand.touched().to_vec();
@@ -261,14 +269,10 @@ fn propagate_side(
                 // Forward pair (w -> u): legs dist(w->h) ∈ Lout(w) and
                 // dist(h->u) ∈ Lin(u) [loaded]. Backward pair (u -> w):
                 // legs dist(h->w) ∈ Lin(w) and dist(u->h) ∈ Lout(u)
-                // [loaded]. Either way: iterate `other[w]`, probe scratch.
-                let mut q = u32::MAX;
-                for e in &other[w as usize] {
-                    if let Some(du) = ws.dist.get(e.hub) {
-                        q = q.min(e.dist as u32 + du as u32);
-                    }
-                }
-                q < d as u32
+                // [loaded]. Either way: probe `other[w]` without its
+                // newest level against the scratch.
+                let older = &other.labels[w as usize][..other.prev_start[w as usize] as usize];
+                probe(older, &ws.dist, d).0
             }
         };
         if !pruned {

@@ -16,8 +16,21 @@
 //!
 //! Use it to answer distance queries on an evolving graph between full
 //! [`crate::SpcIndex`] rebuilds (which remain the way to refresh counts).
+//!
+//! The pruning probe of the BFS from hub `h` at vertex `v` asks whether the
+//! current labels already certify `dist(h, v) ≤ d`. Of the PSPC builder's
+//! two exact probe rules, one applies here:
+//!
+//! * **First witness.** The answer is yes iff *some* common hub `x` has
+//!   `dist(h, x) + dist(x, v) ≤ d`, so the scan of `L(v)` stops at the
+//!   first such `x`. Prune decisions are unchanged, and the labels depend
+//!   on nothing else, so the index is the same.
+//! * **Newest level** has no counterpart: the pruned BFS adds entries hub
+//!   by hub rather than level by level, so no part of `L(v)` is known to
+//!   be unable to witness.
 
 use crate::scratch::DistScratch;
+use pspc_graph::csr::check_adjacency;
 use pspc_graph::{Graph, VertexId};
 use pspc_order::{OrderingStrategy, VertexOrder};
 
@@ -77,22 +90,7 @@ impl DynamicDistanceIndex {
         if adj.len() != n || labels.len() != n {
             return Err("adjacency/label row counts disagree with the order".into());
         }
-        for (r, row) in adj.iter().enumerate() {
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("rank {r}: adjacency not strictly sorted"));
-            }
-            for &w in row {
-                if w as usize >= n {
-                    return Err(format!("rank {r}: neighbor {w} out of range"));
-                }
-                if w as usize == r {
-                    return Err(format!("rank {r}: self loop"));
-                }
-                if adj[w as usize].binary_search(&(r as u32)).is_err() {
-                    return Err(format!("rank {r}: edge to {w} not symmetric"));
-                }
-            }
-        }
+        check_adjacency(n, |r| adj[r].as_slice()).map_err(|e| format!("adjacency: {e}"))?;
         for (r, row) in labels.iter().enumerate() {
             if row.windows(2).any(|w| w[0].0 >= w[1].0) {
                 return Err(format!("rank {r}: label hubs not strictly sorted"));
@@ -249,14 +247,14 @@ impl DynamicDistanceIndex {
         let mut next: Vec<(u32, u16)> = Vec::new();
         while !frontier.is_empty() {
             for &(v, d) in &frontier {
-                // Query(h, v) over the current labeling (h's label loaded).
-                let mut q = u32::MAX;
-                for &(hub, dv) in &self.labels[v as usize] {
-                    if let Some(dh) = scratch.get(hub) {
-                        q = q.min(dh as u32 + dv as u32);
-                    }
-                }
-                if q <= d as u32 {
+                // Query(h, v) ≤ d over the current labeling (h's label
+                // loaded), decided at the first witness hub.
+                let covered = self.labels[v as usize].iter().any(|&(hub, dv)| {
+                    scratch
+                        .get(hub)
+                        .is_some_and(|dh| dh as u32 + dv as u32 <= d as u32)
+                });
+                if covered {
                     continue; // already covered at least as tightly
                 }
                 if !self.upsert(v, h, d) {

@@ -96,16 +96,14 @@ pub fn build_hpspc_with_order(
             }
             next.clear();
             for &v in &discovered {
-                // Query(s, v, L_<s): min over common hubs ranked above s.
-                let mut q = u32::MAX;
-                for e in &labels[v as usize] {
+                // Query(s, v, L_<s) < d, decided at the first common hub
+                // ranked above s that witnesses a shorter path.
+                let pruned = labels[v as usize].iter().any(|e| {
                     let ds = hub_dist[e.hub as usize];
-                    if ds != UNREACHABLE {
-                        q = q.min(ds as u32 + e.dist as u32);
-                    }
-                }
-                if q < d as u32 {
-                    continue; // pruned: no trough shortest path through v
+                    ds != UNREACHABLE && (ds as u32 + e.dist as u32) < d as u32
+                });
+                if pruned {
+                    continue; // no trough shortest path through v
                 }
                 labels[v as usize].push(LabelEntry {
                     hub: s,

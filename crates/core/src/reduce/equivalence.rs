@@ -16,8 +16,9 @@
 //! at distance 2 with one path per common (original) neighbor.
 //!
 //! One collapsing round is performed (false twins first, then true twins
-//! among the remainder); iterating to a fixpoint would shrink further but
-//! complicates same-class queries — see DESIGN.md.
+//! among the remainder); iterating to a fixpoint would shrink further, but
+//! a class could then hold twins of both kinds, and its same-class pairs
+//! would lose the closed-form answers above.
 
 use crate::label::Count;
 use pspc_graph::{Graph, GraphBuilder, SpcAnswer, VertexId};

@@ -197,35 +197,16 @@ impl Graph {
         (Graph { offsets, targets }, ids)
     }
 
-    /// Full structural validation of the CSR invariants.
+    /// Full structural validation of the CSR invariants, in O(n + m).
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices();
         if self.offsets[0] != 0 {
             return Err("offsets[0] != 0".into());
         }
-        for v in 0..n {
-            if self.offsets[v] > self.offsets[v + 1] {
-                return Err(format!("offsets decrease at {v}"));
-            }
-            let nb = self.neighbors(v as VertexId);
-            for w in nb.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("neighbors of {v} not strictly sorted"));
-                }
-            }
-            for &w in nb {
-                if w as usize >= n {
-                    return Err(format!("vertex {v} has out-of-range neighbor {w}"));
-                }
-                if w as usize == v {
-                    return Err(format!("self loop at {v}"));
-                }
-                if !self.has_edge(w, v as VertexId) {
-                    return Err(format!("asymmetric edge ({v}, {w})"));
-                }
-            }
+        if let Some(v) = (0..n).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
+            return Err(format!("offsets decrease at {v}"));
         }
-        Ok(())
+        check_adjacency(n, |v| self.neighbors(v as VertexId))
     }
 
     /// Heap bytes used by the CSR arrays.
@@ -233,6 +214,43 @@ impl Graph {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.targets.len() * std::mem::size_of::<VertexId>()
     }
+}
+
+/// Checks `n` adjacency rows, `row(v)` for `v` in `0..n`, against the
+/// [`Graph`] invariants: every row strictly sorted, in range and free of
+/// self loops, and the rows symmetric.
+///
+/// Runs in O(n + m) with one cursor per row. Rows are visited in ascending
+/// order, and the arc `(v, w)` must find `v` at row `w`'s cursor, which
+/// then advances: in a symmetric graph every smaller entry `x` of row `w`
+/// was consumed when row `x` was visited. A mismatch names the arc whose
+/// reverse is missing — `(v, w)`, or `(w, x)` when the cursor is stuck on
+/// an `x < v` that row `x` does not list back.
+pub fn check_adjacency<'a>(n: usize, row: impl Fn(usize) -> &'a [VertexId]) -> Result<(), String> {
+    let mut cursor = vec![0usize; n];
+    for v in 0..n {
+        let nb = row(v);
+        if nb.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(format!("neighbors of {v} not strictly sorted"));
+        }
+        for &w in nb {
+            if w as usize >= n {
+                return Err(format!("vertex {v} has out-of-range neighbor {w}"));
+            }
+            if w as usize == v {
+                return Err(format!("self loop at {v}"));
+            }
+            let c = &mut cursor[w as usize];
+            match row(w as usize).get(*c) {
+                Some(&x) if x as usize == v => *c += 1,
+                Some(&x) if (x as usize) < v => {
+                    return Err(format!("asymmetric edge ({w}, {x})"));
+                }
+                _ => return Err(format!("asymmetric edge ({v}, {w})")),
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -308,6 +326,29 @@ mod tests {
             targets: vec![1],
         };
         assert!(g.validate().is_err());
+
+        // Row 2 is [0, 1, 3, 4]. Dropping its first, a middle or its last
+        // entry leaves the reverse arc without a partner.
+        let full = GraphBuilder::new()
+            .edges([(2, 0), (2, 1), (2, 3), (2, 4), (0, 1), (3, 4)])
+            .build();
+        assert_eq!(full.neighbors(2), &[0, 1, 3, 4]);
+        assert!(full.validate().is_ok());
+        for (dropped, arc) in [(0, (0, 2)), (3, (3, 2)), (4, (4, 2))] {
+            let mut offsets = vec![0u64];
+            let mut targets = Vec::new();
+            for v in full.vertices() {
+                let row = full.neighbors(v).iter().copied();
+                targets.extend(row.filter(|&w| (v, w) != (2, dropped)));
+                offsets.push(targets.len() as u64);
+            }
+            let g = Graph { offsets, targets };
+            assert_eq!(
+                g.validate(),
+                Err(format!("asymmetric edge ({}, {})", arc.0, arc.1)),
+                "row 2 without {dropped}"
+            );
+        }
     }
 
     #[test]

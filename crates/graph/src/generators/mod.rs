@@ -1,5 +1,7 @@
 //! Seeded random-graph generators used as stand-ins for the paper's ten
-//! real datasets (see DESIGN.md §2 for the substitution rationale).
+//! real datasets, which are not redistributable: each generator reproduces
+//! one family of degree structure (scale-free social, web, spatial,
+//! community), and `pspc_bench::datasets` maps every dataset to one.
 //!
 //! Every generator is deterministic for a given seed and returns a
 //! normalized [`crate::csr::Graph`] (no self-loops, no duplicate edges,

@@ -72,16 +72,22 @@ proptest! {
         }
     }
 
-    /// Weighted (multiplicity) counting matches the weighted BFS oracle.
+    /// Weighted (multiplicity) counting matches the weighted BFS oracle,
+    /// with few enough landmarks that the label probe decides pruning.
     #[test]
     fn weighted_counting_exact(
         g in arb_graph(24, 60),
         seed in 0u64..1000,
+        four_landmarks in any::<bool>(),
     ) {
         let n = g.num_vertices();
         let weights: Vec<u64> = (0..n).map(|i| 1 + ((i as u64 * 7 + seed) % 4)).collect();
         let order = OrderingStrategy::Degree.compute(&g);
-        let (idx, _) = build_pspc_with_order(&g, order, Some(&weights), &PspcConfig::default());
+        let cfg = PspcConfig {
+            num_landmarks: if four_landmarks { 4 } else { 0 },
+            ..PspcConfig::default()
+        };
+        let (idx, _) = build_pspc_with_order(&g, order, Some(&weights), &cfg);
         for s in 0..n as u32 {
             for t in 0..n as u32 {
                 if s == t { continue; }

@@ -9,6 +9,31 @@
 //! paradigm — equal, in fact, to the sequential HP-SPC index, because the
 //! ESPC is uniquely determined by the vertex order.
 //!
+//! **Storage during the build.** `labels[v]` holds levels `0..d` of `L(v)`
+//! in the order they were added, so a level is a contiguous run, located
+//! by two per-vertex starts kept at the barrier:
+//!
+//! * `prev_start[v]`, where level `d-1` starts. Pruning probes read
+//!   `L(w)` up to it (see `pull.rs`: the newest level cannot witness);
+//! * `recent_start[v]`, where level `d-2` starts. Label Elimination reads
+//!   `L(u)` from it on (see `pull.rs`: in an undirected graph a candidate
+//!   hub already on `u` lies in its two newest levels).
+//!
+//! Each iteration's new level is also staged as one CSR slab
+//! ([`LevelSlab`]: an entry array plus `n + 1` offsets, built from a
+//! prefix sum of per-vertex row lengths). Parallel chunks cover
+//! contiguous, ascending vertex ranges and each appends to its own buffer,
+//! so the buffers joined in range order are in vertex order. The next
+//! iteration gathers candidates from that slab, not from the tails of `n`
+//! separate label vectors; the barrier appends each row to `labels[v]`.
+//! Two slabs are live at a time, the level being read and the one being
+//! written, and they swap roles at the barrier. Their buffers are reused:
+//! a fresh slab per level leaves holes of varying size between the growing
+//! label vectors, which raised the peak RSS of a road build by ~18%.
+//!
+//! At the end each `labels[v]` is sorted by hub in place and the rows are
+//! packed straight into the index's [`LabelArena`].
+//!
 //! ```
 //! use pspc_core::builder::{build_pspc, PspcConfig};
 //! use pspc_graph::generators::barabasi_albert;
@@ -27,7 +52,7 @@ pub(crate) use pull::probe;
 pub use schedule::{SchedulePlan, WorkModel};
 
 use crate::common::{to_rank_space, weights_to_rank_space};
-use crate::label::{Count, IndexStats, LabelEntry, LabelSet, SpcIndex};
+use crate::label::{Count, IndexStats, LabelArena, LabelEntry, SpcIndex};
 use crate::landmark::{Landmarks, ProgressiveLandmarkBits};
 use crate::scratch::{Workspace, WorkspacePool};
 use pspc_graph::Graph;
@@ -99,14 +124,18 @@ impl PspcConfig {
 /// Construction-side statistics of a PSPC build.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PspcBuildStats {
-    /// Number of distance iterations executed (= diameter of the largest
-    /// indexed component).
+    /// Number of distance iterations executed: the largest label distance
+    /// plus one, since the last iteration finds nothing new. By the peak
+    /// decomposition of shortest paths, that lies between `⌈D/2⌉ + 1` and
+    /// `D + 1` for the diameter `D` of the largest indexed component.
     pub iterations: usize,
     /// New label entries created per iteration.
     pub entries_per_iteration: Vec<usize>,
     /// Total work units per iteration: label entries the builder reads
-    /// (candidates scanned, `L(u)` loaded for filtering, probe entries up
-    /// to the first witness) plus one per landmark test.
+    /// plus one per landmark test. For each vertex `u` with candidates
+    /// that is the candidates scanned, the two newest levels of `L(u)`,
+    /// its older levels only if a pruning probe runs, and each probe's
+    /// entries up to the first witness (see [`schedule`]).
     pub work_per_iteration: Vec<u64>,
     /// Landmark table bytes (construction-time scratch).
     pub landmark_table_bytes: usize,
@@ -154,19 +183,13 @@ pub fn build_pspc_with_order(
     };
     let landmark_seconds = t_ll.elapsed().as_secs_f64();
 
-    // LC phase: distance iterations.
+    // LC phase: distance iterations. Level 0 is every vertex's self entry.
     let t_lc = Instant::now();
-    let mut labels: Vec<Vec<LabelEntry>> = (0..n as u32)
-        .map(|u| {
-            vec![LabelEntry {
-                hub: u,
-                dist: 0,
-                count: 1,
-            }]
-        })
-        .collect();
+    let mut prev = LevelSlab::self_level(n);
+    let mut next = LevelSlab::default();
+    let mut labels: Vec<Vec<LabelEntry>> = (0..n).map(|v| prev.row(v).to_vec()).collect();
     let mut prev_start: Vec<u32> = vec![0; n];
-    let mut new: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
+    let mut recent_start: Vec<u32> = vec![0; n];
     let mut build = PspcBuildStats {
         landmark_table_bytes: landmarks.as_ref().map_or(0, Landmarks::size_bytes),
         work_model: config.record_work.then(WorkModel::default),
@@ -190,7 +213,9 @@ pub fn build_pspc_with_order(
             rg: &rg,
             weights: rank_weights.as_deref(),
             labels: &labels,
+            prev: &prev,
             prev_start: &prev_start,
+            recent_start: &recent_start,
             landmarks: landmarks.as_ref(),
             landmark_bits: landmark_bits.as_ref(),
             d,
@@ -202,57 +227,143 @@ pub fn build_pspc_with_order(
                 &ctx,
                 &ranges,
                 config.schedule,
-                threads,
                 &pool,
                 &wpool,
-                &mut new,
                 vertex_work.as_deref_mut(),
+                &mut next,
             ),
             Paradigm::Push => {
-                pool.install(|| push::run_push_iteration(&ctx, &ranges, &wpool, &mut new))
+                pool.install(|| push::run_push_iteration(&ctx, &ranges, &wpool, &mut next))
             }
         };
-        // Barrier: merge the fresh level into the frozen snapshot.
-        let new_entries: usize = new.iter().map(Vec::len).sum();
-        labels
-            .par_iter_mut()
-            .zip(prev_start.par_iter_mut())
-            .zip(new.par_iter_mut())
-            .for_each(|((lab, ps), batch)| {
-                *ps = lab.len() as u32;
-                lab.append(batch);
-            });
+        // Barrier: append the fresh level to the frozen snapshot.
+        pool.install(|| {
+            labels
+                .par_iter_mut()
+                .zip(prev_start.par_iter_mut())
+                .zip(recent_start.par_iter_mut())
+                .enumerate()
+                .for_each(|(v, ((lab, ps), rs))| {
+                    *rs = *ps;
+                    *ps = lab.len() as u32;
+                    lab.extend_from_slice(next.row(v));
+                })
+        });
+        let new_entries = next.len();
         build.entries_per_iteration.push(new_entries);
         build.work_per_iteration.push(total_work);
         if let (Some(model), Some(works)) = (&mut build.work_model, vertex_work) {
             model.per_iteration.push(works);
         }
+        std::mem::swap(&mut prev, &mut next);
         if new_entries == 0 {
             break;
         }
     }
     build.iterations = build.entries_per_iteration.len();
+    drop((prev, next)); // before the finalize allocates the arena
 
-    // Finalize: per-vertex sort by hub (levels were appended in time order).
-    let label_sets: Vec<LabelSet> =
-        pool.install(|| labels.into_par_iter().map(LabelSet::from_entries).collect());
+    // Finalize: sort each label by hub (levels were appended in distance
+    // order) in place, then pack the labels into the index's arena on this
+    // thread. Staging them through per-vertex allocations on the workers
+    // left ~28 MB resident after a 2.2M-entry index was dropped: glibc
+    // keeps memory freed into a worker's arena once freeing a slab has
+    // raised its trim threshold.
+    pool.install(|| {
+        labels
+            .par_iter_mut()
+            .for_each(|l| l.sort_unstable_by_key(|e| e.hub))
+    });
+    let arena = LabelArena::from_sorted_rows(&labels);
     let stats = IndexStats {
         landmark_seconds,
         construction_seconds: t_lc.elapsed().as_secs_f64(),
         ..IndexStats::default()
     };
-    (SpcIndex::new(order, label_sets, rank_weights, stats), build)
+    (
+        SpcIndex::from_arena(order, arena, rank_weights, stats),
+        build,
+    )
 }
 
 /// Read-only view of the frozen snapshot shared by one iteration.
 pub(crate) struct PropagationCtx<'a> {
     pub rg: &'a Graph,
     pub weights: Option<&'a [Count]>,
+    /// Levels `0..d` of every label, level by level.
     pub labels: &'a [Vec<LabelEntry>],
+    /// Level `d - 1` of every label (also the tail of `labels[v]`).
+    pub prev: &'a LevelSlab,
+    /// Where level `d - 1` starts in `labels[v]`.
     pub prev_start: &'a [u32],
+    /// Where level `d - 2` starts in `labels[v]`: `labels[v][recent_start[v]..]`
+    /// are the two newest levels.
+    pub recent_start: &'a [u32],
     pub landmarks: Option<&'a Landmarks>,
     pub landmark_bits: Option<&'a ProgressiveLandmarkBits>,
     pub d: u16,
+}
+
+/// One distance level of every vertex's label as a CSR slab: the row of
+/// vertex `v` is `entries[offsets[v]..offsets[v + 1]]`, sorted by hub.
+#[derive(Default)]
+pub(crate) struct LevelSlab {
+    offsets: Vec<usize>,
+    entries: Vec<LabelEntry>,
+}
+
+impl LevelSlab {
+    /// Level 0: each vertex's self entry.
+    fn self_level(n: usize) -> Self {
+        LevelSlab {
+            offsets: (0..=n).collect(),
+            entries: (0..n as u32)
+                .map(|u| LabelEntry {
+                    hub: u,
+                    dist: 0,
+                    count: 1,
+                })
+                .collect(),
+        }
+    }
+
+    /// Refills the slab, reusing its buffers, from per-chunk entry buffers
+    /// given in vertex order and the per-vertex row lengths `counts`.
+    fn fill(&mut self, chunks: impl IntoIterator<Item = Vec<LabelEntry>>, counts: &[u32]) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut total = 0usize;
+        for &c in counts {
+            total += c as usize;
+            self.offsets.push(total);
+        }
+        self.entries.clear();
+        for chunk in chunks {
+            self.entries.extend_from_slice(&chunk);
+        }
+        assert_eq!(
+            self.entries.len(),
+            total,
+            "row lengths disagree with the entries"
+        );
+    }
+
+    /// Row of vertex `v`.
+    #[inline]
+    fn row(&self, v: usize) -> &[LabelEntry] {
+        &self.entries[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Length of the row of vertex `v`.
+    #[inline]
+    fn row_len(&self, v: usize) -> usize {
+        self.offsets[v + 1] - self.offsets[v]
+    }
+
+    /// Entries in the level.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// Computes the iteration's chunk ranges under the schedule plan.
@@ -262,15 +373,12 @@ fn plan_ranges(ctx: &PropagationCtx<'_>, plan: SchedulePlan, threads: usize) -> 
         SchedulePlan::Static => schedule::static_ranges(n, threads),
         SchedulePlan::Dynamic { chunks_per_thread } => {
             // cost(u) ≈ Σ_{v ∈ N(u)} |L_{d-1}(v)| (approximate Def. 11).
-            let level_size: Vec<u64> = (0..n)
-                .map(|v| (ctx.labels[v].len() - ctx.prev_start[v] as usize) as u64)
-                .collect();
             let costs: Vec<u64> = (0..n as u32)
                 .map(|u| {
                     ctx.rg
                         .neighbors(u)
                         .iter()
-                        .map(|&v| level_size[v as usize])
+                        .map(|&v| ctx.prev.row_len(v as usize) as u64)
                         .sum::<u64>()
                         + 1
                 })
@@ -296,81 +404,82 @@ fn split_by_ranges<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec
     out
 }
 
-/// Executes one pull iteration under the given schedule.
+/// Executes one pull iteration under the given schedule: writes the new
+/// level into `level` and returns the total work units.
 ///
 /// * `Static`: one OS thread per contiguous range (crossbeam scope) — the
 ///   paper's node-order-based plan, including its imbalance.
 /// * `Dynamic`: cost-based chunks on the rayon pool — chunks are dispensed
 ///   to idle workers (work stealing), the paper's dynamic plan.
-#[allow(clippy::too_many_arguments)]
+///
+/// Either way each range appends its survivors to its own buffer and
+/// records one row length per vertex; the ranges are contiguous and
+/// ascending, so the buffers joined in range order are the level's slab.
 fn run_pull_iteration(
     ctx: &PropagationCtx<'_>,
     ranges: &[Range<usize>],
     plan: SchedulePlan,
-    threads: usize,
     pool: &rayon::ThreadPool,
     wpool: &WorkspacePool,
-    new: &mut [Vec<LabelEntry>],
-    mut vertex_work: Option<&mut [u64]>,
+    vertex_work: Option<&mut [u64]>,
+    level: &mut LevelSlab,
 ) -> u64 {
-    let n = new.len();
-    match plan {
-        SchedulePlan::Static => {
-            let slices = split_by_ranges(new, ranges);
-            let work_slices: Vec<Option<&mut [u64]>> = match vertex_work.as_deref_mut() {
-                Some(w) => split_by_ranges(w, ranges).into_iter().map(Some).collect(),
-                None => ranges.iter().map(|_| None).collect(),
-            };
-            let total = std::sync::atomic::AtomicU64::new(0);
-            crossbeam::thread::scope(|scope| {
-                for ((range, slice), mut wslice) in ranges.iter().zip(slices).zip(work_slices) {
-                    let total = &total;
-                    scope.spawn(move |_| {
-                        let mut ws = Workspace::new(n);
-                        let mut sum = 0u64;
-                        for (i, u) in range.clone().enumerate() {
-                            let w = pull::process_vertex(ctx, u as u32, &mut ws, &mut slice[i]);
-                            if let Some(ws) = wslice.as_deref_mut() {
-                                ws[i] = w;
-                            }
-                            sum += w;
-                        }
-                        total.fetch_add(sum, std::sync::atomic::Ordering::Relaxed);
-                    });
-                }
-            })
-            .expect("static scheduling thread panicked");
-            let _ = threads;
-            total.into_inner()
+    let mut counts = vec![0u32; ctx.rg.num_vertices()];
+    let count_slices = split_by_ranges(&mut counts, ranges);
+    let work_slices: Vec<Option<&mut [u64]>> = match vertex_work {
+        Some(w) => split_by_ranges(w, ranges).into_iter().map(Some).collect(),
+        None => ranges.iter().map(|_| None).collect(),
+    };
+    let tasks: Vec<_> = ranges
+        .iter()
+        .zip(count_slices)
+        .zip(work_slices)
+        .map(|((r, c), w)| (r.clone(), c, w))
+        .collect();
+    let run = |(range, counts, works): (Range<usize>, &mut [u32], Option<&mut [u64]>)| {
+        wpool.with(|ws| pull_range(ctx, range, ws, counts, works))
+    };
+    let results: Vec<(Vec<LabelEntry>, u64)> = match plan {
+        SchedulePlan::Static => crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .map(|task| scope.spawn(move |_| run(task)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("static scheduling thread panicked"))
+                .collect()
+        })
+        .expect("static scheduling thread panicked"),
+        SchedulePlan::Dynamic { .. } => pool.install(|| tasks.into_par_iter().map(run).collect()),
+    };
+    let total = results.iter().map(|(_, w)| w).sum();
+    level.fill(results.into_iter().map(|(entries, _)| entries), &counts);
+    total
+}
+
+/// Runs [`pull::process_vertex`] over `range`, appending every vertex's new
+/// entries to one buffer and its row length to `counts` (and its work to
+/// `works`, if recorded). Returns the buffer and the range's work.
+fn pull_range(
+    ctx: &PropagationCtx<'_>,
+    range: Range<usize>,
+    ws: &mut Workspace,
+    counts: &mut [u32],
+    mut works: Option<&mut [u64]>,
+) -> (Vec<LabelEntry>, u64) {
+    let mut out = Vec::new();
+    let mut sum = 0u64;
+    for (i, u) in range.enumerate() {
+        let before = out.len();
+        let w = pull::process_vertex(ctx, u as u32, ws, &mut out);
+        counts[i] = (out.len() - before) as u32;
+        if let Some(works) = works.as_deref_mut() {
+            works[i] = w;
         }
-        SchedulePlan::Dynamic { .. } => {
-            let slices = split_by_ranges(new, ranges);
-            let work_slices: Vec<Option<&mut [u64]>> = match vertex_work {
-                Some(w) => split_by_ranges(w, ranges).into_iter().map(Some).collect(),
-                None => ranges.iter().map(|_| None).collect(),
-            };
-            pool.install(|| {
-                ranges
-                    .par_iter()
-                    .zip(slices)
-                    .zip(work_slices)
-                    .map(|((range, slice), mut wslice)| {
-                        wpool.with(|ws| {
-                            let mut sum = 0u64;
-                            for (i, u) in range.clone().enumerate() {
-                                let w = pull::process_vertex(ctx, u as u32, ws, &mut slice[i]);
-                                if let Some(wsl) = wslice.as_deref_mut() {
-                                    wsl[i] = w;
-                                }
-                                sum += w;
-                            }
-                            sum
-                        })
-                    })
-                    .sum()
-            })
-        }
+        sum += w;
     }
+    (out, sum)
 }
 
 #[cfg(test)]
@@ -408,31 +517,39 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads_schedules_paradigms() {
-        let g = barabasi_albert(150, 3, 21);
-        let o = OrderingStrategy::Degree.compute(&g);
-        let reference = build_hpspc_with_order(&g, o.clone(), None);
-        for threads in [1usize, 2, 4] {
-            for schedule in [
-                SchedulePlan::Static,
-                SchedulePlan::Dynamic {
-                    chunks_per_thread: 4,
-                },
-            ] {
-                for paradigm in [Paradigm::Pull, Paradigm::Push] {
-                    let cfg = PspcConfig {
-                        ordering: OrderingStrategy::Degree,
-                        paradigm,
-                        schedule,
-                        threads,
-                        num_landmarks: 10,
-                        ..PspcConfig::default()
-                    };
-                    let (idx, _) = build_pspc_with_order(&g, o.clone(), None, &cfg);
-                    assert_same_index(
-                        &reference,
-                        &idx,
-                        &format!("t={threads} {:?} {paradigm:?}", schedule.name()),
-                    );
+        // BA(150, 3) is shallow (6 iterations), so the two newest levels
+        // are nearly all of a label. The perturbed grid is deep (21), so
+        // most probes need the older levels of L(u), which are loaded
+        // lazily.
+        for (name, g) in [
+            ("ba", barabasi_albert(150, 3, 21)),
+            ("grid", perturbed_grid(12, 12, 0.1, 0.1, 21)),
+        ] {
+            let o = OrderingStrategy::Degree.compute(&g);
+            let reference = build_hpspc_with_order(&g, o.clone(), None);
+            for threads in [1usize, 2, 4] {
+                for schedule in [
+                    SchedulePlan::Static,
+                    SchedulePlan::Dynamic {
+                        chunks_per_thread: 4,
+                    },
+                ] {
+                    for paradigm in [Paradigm::Pull, Paradigm::Push] {
+                        let cfg = PspcConfig {
+                            ordering: OrderingStrategy::Degree,
+                            paradigm,
+                            schedule,
+                            threads,
+                            num_landmarks: 10,
+                            ..PspcConfig::default()
+                        };
+                        let (idx, _) = build_pspc_with_order(&g, o.clone(), None, &cfg);
+                        assert_same_index(
+                            &reference,
+                            &idx,
+                            &format!("{name} t={threads} {:?} {paradigm:?}", schedule.name()),
+                        );
+                    }
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! notes duplicates "would be prohibitively expensive" without merging —
 //! push is provided for the paradigm comparison; pull is the default.
 
-use super::PropagationCtx;
+use super::{LevelSlab, PropagationCtx};
 use crate::label::{Count, LabelEntry};
 use crate::scratch::WorkspacePool;
 use rayon::prelude::*;
@@ -20,14 +20,13 @@ use std::ops::Range;
 /// One emitted candidate: `(target, hub, count)`.
 type Emission = (u32, u32, Count);
 
-/// Runs a full push iteration, returning `(per-target new batches,
-/// total work units)`. `new[u]` is overwritten for every target that
-/// received candidates (and left untouched — empty — otherwise).
+/// Runs a full push iteration: writes the new level into `level` and
+/// returns the total work units.
 pub(crate) fn run_push_iteration(
     ctx: &PropagationCtx<'_>,
     ranges: &[Range<usize>],
     wpool: &WorkspacePool,
-    new: &mut [Vec<LabelEntry>],
+    level: &mut LevelSlab,
 ) -> u64 {
     // Phase A: emissions, chunk-parallel over sources.
     let buffers: Vec<Vec<Emission>> = ranges
@@ -35,8 +34,7 @@ pub(crate) fn run_push_iteration(
         .map(|r| {
             let mut out: Vec<Emission> = Vec::new();
             for v in r.clone() {
-                let start = ctx.prev_start[v] as usize;
-                let lv = &ctx.labels[v][start..];
+                let lv = ctx.prev.row(v);
                 if lv.is_empty() {
                     continue;
                 }
@@ -76,7 +74,8 @@ pub(crate) fn run_push_iteration(
         groups.push(i..j);
         i = j;
     }
-    // Filter each target group in parallel.
+    // Filter each target group in parallel. Groups ascend by target, so
+    // their outputs joined in group order are the level's slab.
     let results: Vec<(u32, Vec<LabelEntry>, u64)> = groups
         .par_iter()
         .map(|g| {
@@ -98,9 +97,11 @@ pub(crate) fn run_push_iteration(
             })
         })
         .collect();
-    for (t, batch, w) in results {
+    let mut counts = vec![0u32; ctx.rg.num_vertices()];
+    for (t, batch, w) in &results {
         work += w;
-        new[t as usize] = batch;
+        counts[*t as usize] = batch.len() as u32;
     }
+    level.fill(results.into_iter().map(|(_, batch, _)| batch), &counts);
     work
 }

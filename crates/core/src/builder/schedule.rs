@@ -20,8 +20,10 @@
 //!
 //! * the level-`d-1` entries of `u`'s neighbors scanned as candidates
 //!   (under push, each emitted candidate instead);
-//! * every entry of `L(u)`, loaded into the distance scratch before its
-//!   candidates are filtered;
+//! * if `u` has candidates, the two newest levels of `L(u)` (`d-2` and
+//!   `d-1`), loaded into the distance scratch for Label Elimination;
+//! * the older levels of `L(u)`, loaded once, only if some candidate
+//!   reaches a pruning probe;
 //! * for each pruning probe, the entries of `L(w)` read up to and
 //!   including the first witness;
 //! * one per candidate a landmark table decides.

@@ -21,6 +21,12 @@
 //!   of `w` rank at or above `w`, which ranks above `u`, so that level is
 //!   skipped, using the *other* side's `prev_start`.
 //!
+//! The undirected builder's other two shortcuts stay out. Label
+//! Elimination loads all of `u`'s own-side label, because the bound that
+//! confines a duplicate hub to the two newest levels needs edges that run
+//! both ways. With the full load, testing landmarks first would save
+//! nothing, so elimination still comes first.
+//!
 //! Landmark filtering keeps two distance tables per landmark rank: forward
 //! (BFS over out-arcs) for in-label pruning and backward (over in-arcs)
 //! for out-label pruning. As in the undirected builder, all reads hit the

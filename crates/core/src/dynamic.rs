@@ -23,8 +23,10 @@
 //!
 //! * **First witness.** The answer is yes iff *some* common hub `x` has
 //!   `dist(h, x) + dist(x, v) ≤ d`, so the scan of `L(v)` stops at the
-//!   first such `x`. Prune decisions are unchanged, and the labels depend
-//!   on nothing else, so the index is the same.
+//!   first such `x`, each entry tested branch-free as
+//!   `dist(h, x) + dist(x, v) < d + 1` ([`DistScratch::sum_below`]). Prune
+//!   decisions are unchanged, and the labels depend on nothing else, so
+//!   the index is the same.
 //! * **Newest level** has no counterpart: the pruned BFS adds entries hub
 //!   by hub rather than level by level, so no part of `L(v)` is known to
 //!   be unable to witness.
@@ -249,11 +251,9 @@ impl DynamicDistanceIndex {
             for &(v, d) in &frontier {
                 // Query(h, v) ≤ d over the current labeling (h's label
                 // loaded), decided at the first witness hub.
-                let covered = self.labels[v as usize].iter().any(|&(hub, dv)| {
-                    scratch
-                        .get(hub)
-                        .is_some_and(|dh| dh as u32 + dv as u32 <= d as u32)
-                });
+                let covered = self.labels[v as usize]
+                    .iter()
+                    .any(|&(hub, dv)| scratch.sum_below(hub, dv, d as u32 + 1));
                 if covered {
                     continue; // already covered at least as tightly
                 }

@@ -294,6 +294,36 @@ impl LabelArena {
         }
     }
 
+    /// Packs per-vertex rows of entries, each sorted by hub, into one
+    /// contiguous arena. Panics on a duplicate hub within a row.
+    pub(crate) fn from_sorted_rows(rows: &[Vec<LabelEntry>]) -> Self {
+        let total: usize = rows.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut hubs = Vec::with_capacity(total);
+        let mut dists = Vec::with_capacity(total);
+        let mut counts = Vec::with_capacity(total);
+        offsets.push(0);
+        for row in rows {
+            for w in row.windows(2) {
+                assert!(
+                    w[0].hub < w[1].hub,
+                    "duplicate hub {} in label set",
+                    w[1].hub
+                );
+            }
+            hubs.extend(row.iter().map(|e| e.hub));
+            dists.extend(row.iter().map(|e| e.dist));
+            counts.extend(row.iter().map(|e| e.count));
+            offsets.push(hubs.len() as u64);
+        }
+        LabelArena {
+            offsets: offsets.into(),
+            hubs: hubs.into(),
+            dists: dists.into(),
+            counts: counts.into(),
+        }
+    }
+
     /// Reassembles an arena from raw CSR arrays (the snapshot v2 load
     /// path). Validates the structural invariants that indexing relies
     /// on — corrupt input must error here, never panic later.
@@ -469,7 +499,7 @@ impl SpcIndex {
     }
 
     /// Assembles an index from an already-flat arena (the snapshot v2
-    /// load path; builders go through [`SpcIndex::new`]).
+    /// load path and the PSPC builder).
     pub fn from_arena(
         order: VertexOrder,
         labels: LabelArena,
@@ -603,6 +633,12 @@ mod tests {
         assert_eq!(ls.counts(), &[3, 1]);
         assert_eq!(ls.dist_to(5), Some(2));
         assert_eq!(ls.dist_to(2), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate hub")]
+    fn sorted_rows_reject_duplicate_hub() {
+        LabelArena::from_sorted_rows(&[vec![entry(1, 1, 1), entry(1, 2, 1)]]);
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! counts). A dense array indexed by rank with a version stamp gives O(1)
 //! probes and O(1) reset without clearing `n` slots per use — the classic
 //! labeling-implementation trick.
+//!
+//! [`DistScratch`] packs each slot into one `u32`: the 16-bit version stamp
+//! above the 16-bit distance. XOR-ing a slot with the current stamp leaves
+//! the distance if the slot is live and a value of at least 2^16 if it is
+//! stale, so [`DistScratch::sum_below`] answers a pruning test
+//! `dist(h) + extra < bound` (for any `bound ≤ 2^16`) with one load and
+//! no data-dependent branch. Stamps are 16 bits, so every slot is wiped
+//! once per 65,535 clears.
 
 use crate::label::Count;
 use parking_lot::Mutex;
@@ -12,48 +20,62 @@ use parking_lot::Mutex;
 /// Dense `rank -> u16` map with O(1) reset, used for 2-hop distance probes.
 #[derive(Debug)]
 pub struct DistScratch {
+    /// Current stamp, in `1..=u16::MAX`; stamp 0 marks a wiped slot.
     version: u32,
-    stamp: Vec<u32>,
-    dist: Vec<u16>,
+    /// `stamp << 16 | dist` per rank.
+    slot: Vec<u32>,
 }
 
 impl DistScratch {
-    /// Creates a scratch for ranks `0..n`.
+    /// Creates an empty scratch for ranks `0..n`.
     pub fn new(n: usize) -> Self {
         DistScratch {
-            version: 0,
-            stamp: vec![0; n],
-            dist: vec![0; n],
+            version: 1,
+            slot: vec![0; n],
         }
     }
 
-    /// Invalidates all entries in O(1).
+    /// Invalidates all entries in O(1), and every slot in O(n) once per
+    /// 65,535 calls, before the 16-bit stamp would repeat.
     pub fn clear(&mut self) {
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            // One full wipe every 2^32 clears keeps stamps unambiguous.
-            self.stamp.fill(0);
+        if self.version == u16::MAX as u32 {
+            self.slot.fill(0);
             self.version = 1;
+        } else {
+            self.version += 1;
         }
+    }
+
+    #[inline]
+    fn tag(&self) -> u32 {
+        self.version << 16
     }
 
     /// Sets `dist(h) = d`.
     #[inline]
     pub fn set(&mut self, h: u32, d: u16) {
-        self.stamp[h as usize] = self.version;
-        self.dist[h as usize] = d;
+        self.slot[h as usize] = self.tag() | d as u32;
     }
 
     /// Distance for `h`, if set since the last [`DistScratch::clear`].
     #[inline]
     pub fn get(&self, h: u32) -> Option<u16> {
-        (self.stamp[h as usize] == self.version).then(|| self.dist[h as usize])
+        u16::try_from(self.slot[h as usize] ^ self.tag()).ok()
     }
 
     /// Whether `h` is present.
     #[inline]
     pub fn contains(&self, h: u32) -> bool {
-        self.stamp[h as usize] == self.version
+        self.slot[h as usize] >> 16 == self.version
+    }
+
+    /// Whether `h` is present with `dist(h) + extra < bound`, for any
+    /// `bound ≤ 2^16`. Branch-free: a stale slot XORs to at least 2^16, and
+    /// the sum is taken in `u64`, so nothing wraps.
+    #[inline]
+    pub fn sum_below(&self, h: u32, extra: u16, bound: u32) -> bool {
+        debug_assert!(bound <= 1 << 16, "bound {bound} exceeds 2^16");
+        ((self.slot[h as usize] ^ self.tag()) as u64 + extra as u64) < bound as u64
     }
 }
 
@@ -183,12 +205,76 @@ mod tests {
     #[test]
     fn dist_scratch_versioning() {
         let mut s = DistScratch::new(4);
+        assert_eq!(s.get(2), None, "a new scratch is empty");
         s.clear();
         s.set(2, 7);
         assert_eq!(s.get(2), Some(7));
         assert_eq!(s.get(1), None);
         s.clear();
         assert_eq!(s.get(2), None);
+    }
+
+    #[test]
+    fn dist_scratch_stale_slot_survives_stamp_wrap() {
+        // A slot set once must read as absent after every later clear,
+        // across the wipe that recycles the 16-bit stamps.
+        let mut s = DistScratch::new(3);
+        s.set(1, 9);
+        for i in 0..2 * u16::MAX as u32 + 3 {
+            s.clear();
+            assert!(!s.contains(1), "clear {i}");
+            assert_eq!(s.get(1), None, "clear {i}");
+            assert!(!s.sum_below(1, 0, 1 << 16), "clear {i}");
+        }
+    }
+
+    #[test]
+    fn sum_below_agrees_with_get() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 16u32;
+        let mut s = DistScratch::new(n as usize);
+        for _ in 0..400 {
+            match rng.gen_range(0..10u32) {
+                0 => s.clear(),
+                1..=5 => {
+                    let d = if rng.gen_bool(0.2) {
+                        u16::MAX
+                    } else {
+                        rng.gen_range(0..64u16)
+                    };
+                    s.set(rng.gen_range(0..n), d);
+                }
+                _ => {
+                    let h = rng.gen_range(0..n);
+                    let extra = if rng.gen_bool(0.2) {
+                        u16::MAX
+                    } else {
+                        rng.gen_range(0..64u16)
+                    };
+                    for bound in 0..=1u32 << 16 {
+                        let want = s
+                            .get(h)
+                            .is_some_and(|dh| (dh as u32 + extra as u32) < bound);
+                        assert_eq!(s.sum_below(h, extra, bound), want, "h={h} bound={bound}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stale_slot_never_passes_at_the_extremes() {
+        let mut s = DistScratch::new(2);
+        s.set(0, u16::MAX);
+        assert!(!s.sum_below(0, u16::MAX, 1 << 16), "live but too far");
+        s.clear();
+        assert!(!s.sum_below(0, 0, 1 << 16));
+        assert!(!s.sum_below(0, u16::MAX, 1 << 16));
+        assert!(!s.sum_below(1, u16::MAX, 1 << 16), "never-set slot");
+        s.set(1, 0);
+        assert!(s.sum_below(1, u16::MAX, 1 << 16), "0 + 65535 < 65536");
     }
 
     #[test]

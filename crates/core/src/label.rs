@@ -324,21 +324,10 @@ impl LabelArena {
         }
     }
 
-    /// Reassembles an arena from raw CSR arrays (the snapshot v2 load
-    /// path). Validates the structural invariants that indexing relies
-    /// on — corrupt input must error here, never panic later.
-    pub fn from_raw(
-        offsets: Vec<u64>,
-        hubs: Vec<u32>,
-        dists: Vec<u16>,
-        counts: Vec<Count>,
-    ) -> Result<Self, String> {
-        Self::from_sections(offsets.into(), hubs.into(), dists.into(), counts.into())
-    }
-
-    /// Reassembles an arena from already-wrapped sections — owned or
-    /// borrowed from a file mapping (the `--mmap` load path). Performs the
-    /// same structural validation as [`LabelArena::from_raw`]; for mapped
+    /// Reassembles an arena from CSR sections — owned (`Vec`s convert
+    /// with `.into()`) or borrowed from a file mapping (the snapshot load
+    /// paths). Validates the structural invariants that indexing relies
+    /// on — corrupt input must error here, never panic later. For mapped
     /// sections this touches only the (small) offsets section, so it does
     /// not fault the bulk label pages in.
     pub fn from_sections(
@@ -706,19 +695,19 @@ mod tests {
 
     #[test]
     fn arena_from_raw_validates() {
-        let ok = LabelArena::from_raw(vec![0, 1], vec![0], vec![0], vec![1]);
+        let from_raw = |o: Vec<u64>, h: Vec<u32>, d: Vec<u16>, c: Vec<Count>| {
+            LabelArena::from_sections(o.into(), h.into(), d.into(), c.into())
+        };
+        let ok = from_raw(vec![0, 1], vec![0], vec![0], vec![1]);
         assert!(ok.is_ok());
         // Length mismatch.
-        assert!(LabelArena::from_raw(vec![0, 1], vec![0], vec![], vec![1]).is_err());
+        assert!(from_raw(vec![0, 1], vec![0], vec![], vec![1]).is_err());
         // Bad first/last offset.
-        assert!(LabelArena::from_raw(vec![1, 1], vec![0], vec![0], vec![1]).is_err());
-        assert!(LabelArena::from_raw(vec![0, 2], vec![0], vec![0], vec![1]).is_err());
-        assert!(LabelArena::from_raw(vec![], vec![], vec![], vec![]).is_err());
+        assert!(from_raw(vec![1, 1], vec![0], vec![0], vec![1]).is_err());
+        assert!(from_raw(vec![0, 2], vec![0], vec![0], vec![1]).is_err());
+        assert!(from_raw(vec![], vec![], vec![], vec![]).is_err());
         // Non-monotonic offsets.
-        assert!(
-            LabelArena::from_raw(vec![0, 2, 1, 2], (0..2).collect(), vec![0; 2], vec![1; 2])
-                .is_err()
-        );
+        assert!(from_raw(vec![0, 2, 1, 2], (0..2).collect(), vec![0; 2], vec![1; 2]).is_err());
     }
 
     #[test]

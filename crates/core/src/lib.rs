@@ -52,8 +52,8 @@ pub use query::BatchScratch;
 pub use reduce::ReducedIndex;
 pub use serialize::{
     any_index_from_binary, di_index_from_binary, di_index_to_binary, dyn_index_from_binary,
-    dyn_index_to_binary, index_from_binary, index_to_binary, index_to_binary_v1,
-    snapshot_kind_name, snapshot_size, SnapshotKind,
+    dyn_index_to_binary, index_from_binary, index_to_binary, snapshot_kind_name, snapshot_size,
+    SnapshotKind,
 };
 pub use shard::{
     open_sharded, read_magic, sharded_to_owned, write_atomically, write_sharded_index,

@@ -1,23 +1,23 @@
 //! Zero-copy snapshot loading: serve an index straight off the page cache.
 //!
-//! [`crate::serialize`] format v2 (and its directed sibling `PSPCDIR2`)
-//! was designed mmap-ready — fixed header, section table, naturally
-//! aligned little-endian bulk sections — but the classic loaders still
-//! copy every byte into fresh `Vec`s, so daemon cold start scales with
-//! index size. [`map_index_from_file`] instead `mmap(2)`s the snapshot
-//! (via the in-tree `memmap2` shim), validates the header and section
-//! table with the **same** checked-length parser the copying loaders use
-//! ([`crate::serialize`]'s `parse_v2_layout`/`parse_dir_layout`: checked
-//! `usize::try_from` on every length, exact total size), then builds
-//! [`Section`]-backed arenas whose bounds and alignment are re-checked
-//! before any in-place cast. Bytes are only faulted in when queries
-//! touch them, so load time is O(header + offsets), not O(index).
+//! [`crate::serialize`]'s formats are mmap-ready: a fixed header, a
+//! section table, and naturally aligned little-endian bulk sections. The
+//! copying loaders still copy every byte into fresh `Vec`s, so their cold
+//! start scales with the index size. [`map_index_from_file`] instead
+//! `mmap(2)`s the snapshot (via the in-tree `memmap2` shim) and runs the
+//! **same** per-format reader as the copying loader on the mapping: the
+//! codec's one section-table parser (checked `usize` narrowing of every
+//! length, exact total size), then
+//! [`Section`](crate::section::Section)-backed arenas whose bounds and
+//! alignment are re-checked before any in-place cast. Bytes are only
+//! faulted in when queries touch them, so load time is O(header +
+//! offsets), not O(index).
 //!
 //! # What is (and isn't) validated eagerly
 //!
 //! The copying loaders run the full structural validation
-//! ([`SpcIndex::validate`]) after load; doing that on a mapping would
-//! fault every page in and erase the cold-start win. The mapped loader
+//! ([`crate::SpcIndex::validate`]) after load; doing that on a mapping
+//! would fault every page in and erase the cold-start win. The mapped loader
 //! therefore checks everything that **memory safety** and **absence of
 //! panics** rely on — header/section-table consistency, checked length
 //! narrowing, section bounds + alignment, CSR offset monotonicity and
@@ -26,6 +26,16 @@
 //! corrupted file, exactly like a bit flip inside a `dists` section
 //! would. The parity proptests pin mapped and copied loads to
 //! bit-identical answers on good files.
+//!
+//! # The file must stay as it was mapped
+//!
+//! A mapped snapshot must never be truncated or rewritten in place while
+//! an index served from it is alive: a page that no longer exists in the
+//! file raises `SIGBUS` on the next query that touches it, and a
+//! rewritten page changes answers under the checks above. Replace a
+//! snapshot by writing a new file and renaming it over the old one, as
+//! [`crate::shard::write_atomically`] (and so `pspc build` and
+//! `pspc migrate`) does; the old mapping keeps the old file alive.
 //!
 //! # Supported formats
 //!
@@ -40,12 +50,9 @@
 //! * `PSPCSHM1` manifests → `ErrorKind::Unsupported` here; sharded
 //!   snapshots load through [`crate::shard`] instead.
 
-use crate::directed::DiSpcIndex;
-use crate::label::{IndexStats, LabelArena, SpcIndex};
-use crate::section::Section;
 use crate::serialize::{
-    bad, get_u32s, parse_dir_layout, parse_v2_layout, validate_order, SnapshotKind, MAGIC_DIR,
-    MAGIC_DYN, MAGIC_SHARD_MANIFEST, MAGIC_V1, MAGIC_V2,
+    bad, read_dir, read_v2, SnapshotKind, Source, MAGIC_DIR, MAGIC_DYN, MAGIC_SHARD_MANIFEST,
+    MAGIC_V1, MAGIC_V2,
 };
 use memmap2::Mmap;
 use std::fs::File;
@@ -63,8 +70,7 @@ fn unsupported(msg: &str) -> io::Error {
 /// back to the copying [`crate::serialize::any_index_from_binary`].
 ///
 /// The file must not be truncated or rewritten while the returned index
-/// is alive (standard mmap caveat; replace snapshots by atomic rename,
-/// which `pspc migrate` does).
+/// is alive (see the [module docs](self)).
 pub fn map_index_from_file(path: impl AsRef<Path>) -> io::Result<SnapshotKind> {
     let path = path.as_ref();
     let file = File::open(path)?;
@@ -85,8 +91,8 @@ pub fn map_index_from_file(path: impl AsRef<Path>) -> io::Result<SnapshotKind> {
         ));
     }
     match &map[..8] {
-        m if m == MAGIC_V2 => map_v2(&map).map(SnapshotKind::Undirected),
-        m if m == MAGIC_DIR => map_dir(&map).map(SnapshotKind::Directed),
+        m if m == MAGIC_V2 => read_v2(Source::Map(&map)).map(SnapshotKind::Undirected),
+        m if m == MAGIC_DIR => read_dir(Source::Map(&map)).map(SnapshotKind::Directed),
         m if m == MAGIC_DYN => Err(unsupported(
             "dynamic snapshots mutate in place and cannot be served zero-copy; use the copying loader",
         )),
@@ -100,85 +106,13 @@ pub fn map_index_from_file(path: impl AsRef<Path>) -> io::Result<SnapshotKind> {
     }
 }
 
-/// Zero-copy load of a `PSPCIDX2` snapshot from an existing mapping.
-pub(crate) fn map_v2(map: &Arc<Mmap>) -> io::Result<SpcIndex> {
-    let layout = parse_v2_layout(map)?;
-    let (off, len) = layout.sections[0];
-    let offsets = Section::<u64>::from_mapped(map, off, len / 8)?;
-    let weights = if layout.has_weights {
-        let (off, len) = layout.sections[1];
-        Some(Section::<u64>::from_mapped(map, off, len / 8)?)
-    } else {
-        None
-    };
-    let (off, len) = layout.sections[2];
-    let counts = Section::<u64>::from_mapped(map, off, len / 8)?;
-    let (off, len) = layout.sections[3];
-    let order = validate_order(get_u32s(&map[off..off + len]))?;
-    let (off, len) = layout.sections[4];
-    let hubs = Section::<u32>::from_mapped(map, off, len / 4)?;
-    let (off, len) = layout.sections[5];
-    let dists = Section::<u16>::from_mapped(map, off, len / 2)?;
-    let arena = LabelArena::from_sections(offsets, hubs, dists, counts)
-        .map_err(|e| bad(&format!("bad label arena: {e}")))?;
-    if arena.num_vertices() != order.len() {
-        return Err(bad("label row count disagrees with the order"));
-    }
-    Ok(SpcIndex::from_arena_sections(
-        order,
-        arena,
-        weights,
-        IndexStats::default(),
-    ))
-}
-
-/// Zero-copy load of a `PSPCDIR2` snapshot from an existing mapping.
-fn map_dir(map: &Arc<Mmap>) -> io::Result<DiSpcIndex> {
-    let layout = parse_dir_layout(map)?;
-    let sec_u64 = |i: usize| {
-        let (off, len) = layout.sections[i];
-        Section::<u64>::from_mapped(map, off, len / 8)
-    };
-    let sec_u32 = |i: usize| {
-        let (off, len) = layout.sections[i];
-        Section::<u32>::from_mapped(map, off, len / 4)
-    };
-    let sec_u16 = |i: usize| {
-        let (off, len) = layout.sections[i];
-        Section::<u16>::from_mapped(map, off, len / 2)
-    };
-    let offsets_in = sec_u64(0)?;
-    let offsets_out = sec_u64(1)?;
-    let counts_in = sec_u64(2)?;
-    let counts_out = sec_u64(3)?;
-    let (off, len) = layout.sections[4];
-    let order = validate_order(get_u32s(&map[off..off + len]))?;
-    let hubs_in = sec_u32(5)?;
-    let hubs_out = sec_u32(6)?;
-    let dists_in = sec_u16(7)?;
-    let dists_out = sec_u16(8)?;
-    let lin = LabelArena::from_sections(offsets_in, hubs_in, dists_in, counts_in)
-        .map_err(|e| bad(&format!("bad in-label arena: {e}")))?;
-    let lout = LabelArena::from_sections(offsets_out, hubs_out, dists_out, counts_out)
-        .map_err(|e| bad(&format!("bad out-label arena: {e}")))?;
-    if lin.num_vertices() != order.len() || lout.num_vertices() != order.len() {
-        return Err(bad("label row counts disagree with the order"));
-    }
-    Ok(DiSpcIndex::from_arenas(
-        order,
-        lin,
-        lout,
-        IndexStats::default(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{build_pspc, PspcConfig};
+    use crate::label::SpcIndex;
     use crate::serialize::{
-        any_index_from_binary, di_index_to_binary, dyn_index_to_binary, index_to_binary,
-        index_to_binary_v1, Bytes,
+        any_index_from_binary, di_index_to_binary, dyn_index_to_binary, index_to_binary, Bytes,
     };
     use pspc_graph::generators::barabasi_albert;
     use std::io::Write;
@@ -245,7 +179,7 @@ mod tests {
         let g = pspc_graph::generators::erdos_renyi(30, 60, 3);
         let dynix = crate::dynamic::DynamicDistanceIndex::build(&g, OrderingStrategy::Degree);
         let p_dyn = write_file("dyn", &dyn_index_to_binary(&dynix));
-        let p_v1 = write_file("v1", &index_to_binary_v1(&build(30, 3)));
+        let p_v1 = write_file("v1", include_bytes!("../tests/fixtures/ba24.v1.pspc"));
         for p in [&p_dyn, &p_v1] {
             let err = map_index_from_file(p).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");

@@ -1,23 +1,52 @@
-//! Binary snapshot formats for [`SpcIndex`].
+//! Binary snapshot formats for [`SpcIndex`] and its sibling index kinds.
 //!
 //! Building the index is the expensive step (minutes for large graphs);
-//! persisting it makes query services restartable. Two formats exist:
+//! persisting it makes query services restartable. Every current format
+//! is written, copied back, mapped and sharded through the one codec
+//! below, so a new section is added in one place.
 //!
-//! * **v2 (`PSPCIDX2`)** — the current format, written by
-//!   [`index_to_binary`]. A fixed header with a section table, followed by
-//!   the [`crate::label::LabelArena`] arrays **verbatim**: deserialization
-//!   is a handful of bulk section copies (O(sections) `memcpy`s on
-//!   little-endian targets) instead of per-entry parsing, and every
-//!   section start is naturally aligned so the layout is mmap-ready.
-//! * **v1 (`PSPCIDX1`)** — the legacy per-entry format. Still *read* by
-//!   [`index_from_binary`] for back-compat; [`index_to_binary_v1`] keeps a
-//!   writer around for migration and cross-format tests. Convert old files
-//!   with `pspc migrate <old> <new>`.
+//! # The section-table rule
 //!
-//! # v2 format specification
+//! The four current formats — `PSPCIDX2`, `PSPCDIR2`, `PSPCDYN2` and the
+//! shard file `PSPCSHD1` — share one layout. All integers are
+//! little-endian.
 //!
-//! All integers are **little-endian**. The file is a fixed 80-byte header
-//! followed by six data sections, in file order, with no padding:
+//! 1. An 8-byte magic names the format.
+//! 2. A fixed number of `u64` header words follows.
+//! 3. A section table follows: one `u64` byte length per section. Each
+//!    length is a function of the header words.
+//! 4. The sections follow back to back in descending element alignment
+//!    (8-byte, then 4, then 2). The header is a multiple of 8 bytes, so
+//!    in a page-aligned mapping every section starts naturally aligned
+//!    and can be viewed in place ([`crate::mapped`], [`crate::shard`]).
+//! 5. Nothing follows: the file is exactly the header plus the sections.
+//!
+//! The reader checks, in order: the magic; truncation of the header; that
+//! the table equals the lengths computed from the words; the checked
+//! `usize` narrowing of every section end; and the exact total, with no
+//! trailing bytes. One reader per format then either copies each section
+//! out with one `memcpy` (on little-endian targets) or views it in a file
+//! mapping. The writer emits the magic, the words and the table from the
+//! same length function, so reader and writer cannot drift.
+//!
+//! # Untrusted lengths
+//!
+//! Every byte length and element count read from a snapshot is untrusted.
+//! All section arithmetic happens in `u128` (so corrupt headers cannot
+//! overflow the checks) and every narrowing to `usize` goes through
+//! `usize::try_from` — a length that does not fit the host's address
+//! space is a parse error, never a silent truncation. This matters
+//! doubly on the zero-copy path ([`crate::mapped`]), where a mis-sliced
+//! section would become an out-of-bounds view of the mapping rather
+//! than a short `memcpy`.
+//!
+//! # v2 (`PSPCIDX2`, undirected)
+//!
+//! Header words `[n, m, flags]`: the vertex count (must fit the `u32`
+//! rank space), the total label entries, and `flags` (bit 0 = weights
+//! section present; any other bit is rejected). Written by
+//! [`index_to_binary`] (one exact-size allocation, [`snapshot_size`]) and
+//! [`write_index_to`] (streamed). The 80-byte header:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
@@ -28,8 +57,6 @@
 //! | 32     | 48   | section table: six `u64` byte lengths |
 //! | 80     | —    | section data |
 //!
-//! The section table entries and the sections they describe, in order:
-//!
 //! | # | section   | element | length (bytes)           |
 //! |--:|-----------|---------|--------------------------|
 //! | 0 | `offsets` | `u64`   | `(n + 1) * 8`            |
@@ -39,31 +66,17 @@
 //! | 4 | `hubs`    | `u32`   | `m * 4`                  |
 //! | 5 | `dists`   | `u16`   | `m * 2`                  |
 //!
-//! Sections are sorted by descending element alignment (8-byte sections
-//! first, then 4, then 2) and the header is 80 bytes (a multiple of 8),
-//! so in a page-aligned mapping every section starts at a naturally
-//! aligned address — a future mmap loader can cast sections in place.
-//! The section lengths are fully determined by `n`, `m` and `flags`; the
-//! reader verifies the table against them and rejects any mismatch, any
-//! truncation, and any trailing bytes. Loaded data then passes the same
-//! structural validation as v1 ([`SpcIndex::validate`] plus CSR offset
-//! checks), so corrupt input errors — it never panics.
+//! # v1 (`PSPCIDX1`, legacy)
 //!
-//! [`index_to_binary`] computes the exact byte size up front and
-//! serializes into a single pre-sized allocation (no reallocation).
+//! The per-entry format of the first releases. [`index_from_binary`]
+//! still reads it; nothing writes it any more. Convert old files with
+//! `pspc migrate <old> <new>`.
 //!
-//! # Directed and dynamic snapshots
+//! # Directed (`PSPCDIR2`)
 //!
-//! The directed [`DiSpcIndex`] and the insertion-only
-//! [`DynamicDistanceIndex`] persist with the same header-plus-aligned-
-//! bulk-sections discipline as v2, each under its own magic so a loader
-//! can tell the kinds apart from the first eight bytes
-//! ([`snapshot_kind_name`]); [`any_index_from_binary`] dispatches on the
-//! magic and returns a [`SnapshotKind`].
-//!
-//! **`PSPCDIR2`** (directed, [`di_index_to_binary`]) — a 112-byte header
-//! (`magic`, `n`, `m_in`, `m_out`, `flags = 0`, nine `u64` section
-//! lengths) followed by nine sections in descending element alignment:
+//! Header words `[n, m_in, m_out, 0]` (the last word is a flags word that
+//! must be 0), so the header is 112 bytes. Written by
+//! [`di_index_to_binary`] and [`write_di_index_to`]:
 //!
 //! | # | section       | element | length (bytes)  |
 //! |--:|---------------|---------|-----------------|
@@ -77,14 +90,16 @@
 //! | 7 | `dists_in`    | `u16`   | `m_in * 2`      |
 //! | 8 | `dists_out`   | `u16`   | `m_out * 2`     |
 //!
-//! **`PSPCDYN2`** (dynamic, [`dyn_index_to_binary`]) — an 88-byte header
-//! (`magic`, `n`, `m` label entries, `a` adjacency entries, `flags = 0`,
-//! six `u64` section lengths) followed by six sections: the maintained
-//! rank-space adjacency as CSR (`adj_offsets`, `adj`) and the `(hub,
-//! dist)` label rows as CSR (`lab_offsets`, `hubs`, `dists`) plus the
-//! `order` array. Counts are not persisted because the dynamic index
-//! maintains distances only (see [`crate::dynamic`]); the
-//! `updated_entries` statistic resets to 0 on load.
+//! # Dynamic (`PSPCDYN2`)
+//!
+//! Header words `[n, m, a, 0]`: `m` label entries, `a` adjacency entries
+//! and a flags word that must be 0, so the header is 88 bytes. The
+//! sections hold the maintained rank-space adjacency as CSR (`adj_offsets`,
+//! `adj`), the `(hub, dist)` label rows as CSR (`lab_offsets`, `hubs`,
+//! `dists`) and the `order` array. Counts are not persisted because the
+//! dynamic index maintains distances only (see [`crate::dynamic`]); the
+//! `updated_entries` statistic resets to 0 on load. Written by
+//! [`dyn_index_to_binary`] and [`write_dyn_index_to`]:
 //!
 //! | # | section       | element | length (bytes)  |
 //! |--:|---------------|---------|-----------------|
@@ -95,33 +110,23 @@
 //! | 4 | `hubs`        | `u32`   | `m * 4`         |
 //! | 5 | `dists`       | `u16`   | `m * 2`         |
 //!
-//! Both headers are multiples of 8 bytes, both readers verify the
-//! section table against the header counts (rejecting truncation and
-//! trailing bytes exactly like v2), and both loaded indexes pass the
-//! kind's structural validation, so corrupt input errors — never panics.
-//!
-//! # Untrusted lengths
-//!
-//! Every byte length and element count read from a snapshot is untrusted.
-//! All section arithmetic happens in `u128` (so corrupt headers cannot
-//! overflow the checks) and every narrowing to `usize` goes through
-//! `usize::try_from` — a length that does not fit the host's address
-//! space is a parse error, never a silent truncation. This matters
-//! doubly on the zero-copy path ([`crate::mapped`]), where a mis-sliced
-//! section would become an out-of-bounds view of the mapping rather
-//! than a short `memcpy`.
+//! Every copying loader ([`index_from_binary`], [`di_index_from_binary`],
+//! [`dyn_index_from_binary`]) ends with the kind's full structural
+//! validation, so corrupt input errors — it never panics.
+//! [`any_index_from_binary`] dispatches on the magic
+//! ([`snapshot_kind_name`]) and returns a [`SnapshotKind`].
 //!
 //! # Sharded snapshots (`PSPCSHM1` + `PSPCSHD1`)
 //!
 //! For indexes larger than RAM, `pspc build --shard-bytes N` (and
 //! `pspc migrate --shard`) split an **undirected** index into a small
 //! *manifest* plus per-rank-range *shard files* that the daemon maps
-//! lazily under an LRU residency cap (see [`crate::shard`]). All
-//! integers little-endian, like every other format here.
+//! lazily under an LRU residency cap (see [`crate::shard`]).
 //!
-//! **Manifest** (`<path>`, magic `PSPCSHM1`) — fixed 48-byte header, a
+//! **Manifest** (`<path>`, magic `PSPCSHM1`) — a fixed 48-byte header, a
 //! shard table, then the global order and optional weights arrays
-//! (small, always loaded owned):
+//! (small, always loaded owned). It has no section table, so
+//! [`crate::shard`] parses it itself:
 //!
 //! | offset    | size   | field |
 //! |----------:|-------:|-------|
@@ -135,14 +140,15 @@
 //! | 48 + 32·s | n·8    | `weights` (`u64`), only if flag bit 0 |
 //! | —         | n·4    | `order` (`u32`, `order[rank] = vertex`) |
 //!
-//! Shard ranges must tile `0..n` contiguously in rank order, and the
-//! per-shard `entries`/`file_bytes` must agree with the shard files.
+//! Shard ranges must tile `0..n` contiguously in rank order (an empty
+//! index has one empty shard), and the per-shard `entries`/`file_bytes`
+//! must agree with the shard files.
 //!
 //! **Shard file** (`<path>.NNNN`, 4-digit shard index, magic
 //! `"PSPCSHD1"`) — one rank range's rows of the label arena, offsets
-//! rebased to start at 0, header 72 bytes (a multiple of 8, so every
-//! section is naturally aligned in a page-aligned mapping exactly like
-//! v2):
+//! rebased to start at 0. Header words `[index, start_rank, end_rank,
+//! entries]` (`end_rank` exclusive, `nr = end - start`), so the header is
+//! 72 bytes:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
@@ -157,12 +163,16 @@
 use crate::directed::DiSpcIndex;
 use crate::dynamic::DynamicDistanceIndex;
 use crate::label::{IndexStats, LabelArena, LabelEntry, LabelSet, SpcIndex};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::section::{Section, SectionElem};
+use bytes::Buf;
 // Re-exported so downstream users of the snapshot API don't need a direct
 // `bytes` dependency.
 pub use bytes::Bytes;
+use memmap2::Mmap;
 use pspc_order::VertexOrder;
 use std::io;
+use std::ops::Range;
+use std::sync::Arc;
 
 pub(crate) const MAGIC_V1: &[u8; 8] = b"PSPCIDX1";
 pub(crate) const MAGIC_V2: &[u8; 8] = b"PSPCIDX2";
@@ -170,14 +180,6 @@ pub(crate) const MAGIC_DIR: &[u8; 8] = b"PSPCDIR2";
 pub(crate) const MAGIC_DYN: &[u8; 8] = b"PSPCDYN2";
 /// Magic of the sharded-snapshot manifest (see [`crate::shard`]).
 pub(crate) const MAGIC_SHARD_MANIFEST: &[u8; 8] = b"PSPCSHM1";
-/// Magic of a single shard file (see [`crate::shard`]).
-pub(crate) const MAGIC_SHARD_FILE: &[u8; 8] = b"PSPCSHD1";
-/// Bytes before the first v2 section: magic + n + m + flags + 6 lengths.
-const V2_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 6 * 8;
-/// Directed header: magic + n + m_in + m_out + flags + 9 lengths.
-const DIR_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 8 + 9 * 8;
-/// Dynamic header: magic + n + m + a + flags + 6 lengths.
-const DYN_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 8 + 6 * 8;
 
 pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -192,146 +194,246 @@ pub(crate) fn checked_len(v: u128, what: &str) -> io::Result<usize> {
     usize::try_from(v).map_err(|_| bad(&format!("{what} exceeds the host address space")))
 }
 
-/// Reads the little-endian `u64` at byte offset `at` (caller has bounds-
-/// checked `data.len()` against the fixed header size).
-fn u64_at(data: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
+// ------------------------------------------------------------------- codec
+
+/// One section-table format (see the [module docs](self)).
+pub(crate) struct Format {
+    pub magic: &'static [u8; 8],
+    /// Number of `u64` header words after the magic.
+    pub words: usize,
+    /// The section byte lengths the header words imply, in file order.
+    /// Works in `u128`, so a corrupt header cannot overflow it, and
+    /// rejects words no writer produces.
+    pub lengths: fn(&[u64]) -> io::Result<Vec<u128>>,
 }
 
-// ----------------------------------------------------------- header layout
-//
-// The copying readers and the zero-copy mapped loader share these layout
-// parsers, so the length/alignment/bounds discipline is enforced in
-// exactly one place per format.
-
-/// Validated layout of a v2 (`PSPCIDX2`) snapshot: header counts plus the
-/// byte offset and length of each of the six sections.
-pub(crate) struct V2Layout {
-    /// Vertex count (fits `u32` rank space).
-    #[allow(dead_code)]
-    pub n: usize,
-    /// Total label entries.
-    #[allow(dead_code)]
-    pub m: usize,
-    /// Whether section 1 (weights) is present.
-    pub has_weights: bool,
-    /// `(byte offset, byte length)` per section, in file order.
-    pub sections: [(usize, usize); 6],
-}
-
-/// Parses and fully validates a v2 header + section table against
-/// `data.len()`: magic, flags, rank-space fit, per-section lengths
-/// recomputed from `(n, m, flags)` in `u128`, checked `usize` narrowing,
-/// and the exact-total-length rule (no truncation, no trailing bytes).
-pub(crate) fn parse_v2_layout(data: &[u8]) -> io::Result<V2Layout> {
-    if data.len() < 8 || &data[..8] != MAGIC_V2 {
-        return Err(bad("not a v2 PSPC snapshot"));
-    }
-    if data.len() < V2_HEADER_BYTES {
-        return Err(bad("truncated v2 header"));
-    }
-    let n64 = u64_at(data, 8);
-    let m64 = u64_at(data, 16);
-    let flags = u64_at(data, 24);
-    if flags > 1 {
-        return Err(bad("unknown v2 flags"));
-    }
-    if n64 > u32::MAX as u64 + 1 {
+/// A vertex count, which must fit the `u32` rank space.
+fn rank_space(n: u64) -> io::Result<u128> {
+    if n > u32::MAX as u64 + 1 {
         return Err(bad("vertex count exceeds rank space"));
     }
-    let has_weights = flags & 1 == 1;
-    // Expected section lengths from (n, m, flags) in u128: a corrupt
-    // header can claim any counts, and the arithmetic must not overflow.
-    let (n, m) = (n64 as u128, m64 as u128);
-    let expect: [u128; 6] = [
-        (n + 1) * 8,
-        if has_weights { n * 8 } else { 0 },
-        m * 8,
-        n * 4,
-        m * 4,
-        m * 2,
-    ];
-    let mut total = V2_HEADER_BYTES as u128;
-    let mut sections = [(0usize, 0usize); 6];
-    let mut at = V2_HEADER_BYTES;
-    for (i, &want) in expect.iter().enumerate() {
-        if u64_at(data, 32 + 8 * i) as u128 != want {
-            return Err(bad(&format!("section {i} length disagrees with header")));
-        }
-        let len = checked_len(want, "section length")?;
-        sections[i] = (at, len);
-        at = at
-            .checked_add(len)
-            .ok_or_else(|| bad("section end overflows the host address space"))?;
-        total += want;
-    }
-    if data.len() as u128 != total {
-        return Err(bad(if (data.len() as u128) < total {
-            "truncated v2 section data"
-        } else {
-            "trailing bytes after v2 sections"
-        }));
-    }
-    Ok(V2Layout {
-        n: checked_len(n, "vertex count")?,
-        m: checked_len(m, "entry count")?,
-        has_weights,
-        sections,
-    })
+    Ok(n as u128)
 }
 
-/// Validated layout of a directed (`PSPCDIR2`) snapshot.
-pub(crate) struct DirLayout {
-    /// Vertex count (fits `u32` rank space).
-    #[allow(dead_code)]
-    pub n: usize,
-    /// `(byte offset, byte length)` per section, in file order.
-    pub sections: [(usize, usize); 9],
+/// `PSPCIDX2`: words `[n, m, flags]`.
+pub(crate) const V2: Format = Format {
+    magic: MAGIC_V2,
+    words: 3,
+    lengths: |w| {
+        if w[2] > 1 {
+            return Err(bad("unknown v2 flags"));
+        }
+        let (n, m) = (rank_space(w[0])?, w[1] as u128);
+        let weights = n * 8 * w[2] as u128;
+        Ok(vec![(n + 1) * 8, weights, m * 8, n * 4, m * 4, m * 2])
+    },
+};
+
+/// `PSPCDIR2`: words `[n, m_in, m_out, 0]`.
+pub(crate) const DIR: Format = Format {
+    magic: MAGIC_DIR,
+    words: 4,
+    lengths: |w| {
+        if w[3] != 0 {
+            return Err(bad("unknown directed flags"));
+        }
+        let (n, i, o) = (rank_space(w[0])?, w[1] as u128, w[2] as u128);
+        let r = (n + 1) * 8; // one CSR offsets section per direction
+        Ok(vec![r, r, i * 8, o * 8, n * 4, i * 4, o * 4, i * 2, o * 2])
+    },
+};
+
+/// `PSPCDYN2`: words `[n, m, a, 0]`.
+pub(crate) const DYN: Format = Format {
+    magic: MAGIC_DYN,
+    words: 4,
+    lengths: |w| {
+        if w[3] != 0 {
+            return Err(bad("unknown dynamic flags"));
+        }
+        let (n, m, a) = (rank_space(w[0])?, w[1] as u128, w[2] as u128);
+        Ok(vec![(n + 1) * 8, (n + 1) * 8, n * 4, a * 4, m * 4, m * 2])
+    },
+};
+
+/// `PSPCSHD1` shard file: words `[index, start, end, entries]`.
+pub(crate) const SHD1: Format = Format {
+    magic: b"PSPCSHD1",
+    words: 4,
+    lengths: |w| {
+        if w[2] < w[1] {
+            return Err(bad("shard rank range ends before it starts"));
+        }
+        let (rows, e) = ((w[2] - w[1]) as u128, w[3] as u128);
+        Ok(vec![(rows + 1) * 8, e * 8, e * 4, e * 2])
+    },
+};
+
+/// A parsed section table: the header words and each section's byte
+/// range, in file order.
+pub(crate) struct Layout {
+    pub words: Vec<u64>,
+    pub sections: Vec<Range<usize>>,
 }
 
-/// Directed analogue of [`parse_v2_layout`].
-pub(crate) fn parse_dir_layout(data: &[u8]) -> io::Result<DirLayout> {
-    if data.len() < 8 || &data[..8] != MAGIC_DIR {
-        return Err(bad("not a directed PSPC snapshot"));
+/// Parses and checks the header and section table of a `f` snapshot
+/// against `data.len()` (the checks of the [module docs](self), in that
+/// order). The only section-table parser: every loader goes through it.
+pub(crate) fn parse_layout(data: &[u8], f: &Format) -> io::Result<Layout> {
+    let name = String::from_utf8_lossy(f.magic);
+    if data.get(..8) != Some(&f.magic[..]) {
+        return Err(bad(&format!("not a {name} snapshot")));
     }
-    if data.len() < DIR_HEADER_BYTES {
-        return Err(bad("truncated directed header"));
+    let word = |i: usize| {
+        let b = data.get(8 + 8 * i..16 + 8 * i)?;
+        Some(u64::from_le_bytes(b.try_into().expect("an 8-byte range")))
+    };
+    let truncated = || bad(&format!("truncated {name} header"));
+    let words: Vec<u64> = (0..f.words)
+        .map(word)
+        .collect::<Option<_>>()
+        .ok_or_else(truncated)?;
+    let lengths = (f.lengths)(&words)?;
+    let mut at = 8 * (1 + f.words + lengths.len());
+    if data.len() < at {
+        return Err(truncated());
     }
-    let n64 = u64_at(data, 8);
-    let m_in64 = u64_at(data, 16);
-    let m_out64 = u64_at(data, 24);
-    if u64_at(data, 32) != 0 {
-        return Err(bad("unknown directed flags"));
-    }
-    if n64 > u32::MAX as u64 + 1 {
-        return Err(bad("vertex count exceeds rank space"));
-    }
-    let expect = dir_section_lengths(n64 as u128, m_in64 as u128, m_out64 as u128);
-    let mut total = DIR_HEADER_BYTES as u128;
-    let mut sections = [(0usize, 0usize); 9];
-    let mut at = DIR_HEADER_BYTES;
-    for (i, &want) in expect.iter().enumerate() {
-        if u64_at(data, 40 + 8 * i) as u128 != want {
+    let mut sections = Vec::with_capacity(lengths.len());
+    for (i, &len) in lengths.iter().enumerate() {
+        if word(f.words + i).map(u128::from) != Some(len) {
             return Err(bad(&format!("section {i} length disagrees with header")));
         }
-        let len = checked_len(want, "section length")?;
-        sections[i] = (at, len);
-        at = at
-            .checked_add(len)
-            .ok_or_else(|| bad("section end overflows the host address space"))?;
-        total += want;
+        let end = checked_len(at as u128 + len, "section end")?;
+        sections.push(at..end);
+        at = end;
     }
-    if data.len() as u128 != total {
-        return Err(bad(if (data.len() as u128) < total {
-            "truncated directed section data"
+    if data.len() != at {
+        return Err(bad(&if data.len() < at {
+            format!("truncated {name} section data")
         } else {
-            "trailing bytes after directed sections"
+            format!("trailing bytes after {name} sections")
         }));
     }
-    Ok(DirLayout {
-        n: checked_len(n64 as u128, "vertex count")?,
-        sections,
-    })
+    Ok(Layout { words, sections })
+}
+
+/// Writes the magic, the header `words` and the section table of a `f`
+/// snapshot. The only header writer: the sections follow it.
+pub(crate) fn write_layout<W: io::Write>(w: &mut W, f: &Format, words: &[u64]) -> io::Result<()> {
+    let mut hdr = f.magic.to_vec();
+    for &x in words {
+        hdr.extend_from_slice(&x.to_le_bytes());
+    }
+    for len in (f.lengths)(words)? {
+        let len = u64::try_from(len).map_err(|_| bad("section length exceeds u64"))?;
+        hdr.extend_from_slice(&len.to_le_bytes());
+    }
+    w.write_all(&hdr)
+}
+
+/// Exact byte size of a `f` snapshot with these header words (which
+/// describe a resident index, so the size fits `usize`).
+pub(crate) fn layout_size(f: &Format, words: &[u64]) -> usize {
+    let lengths = (f.lengths)(words).expect("header words of a resident index");
+    let total = 8 * (1 + f.words + lengths.len()) as u128 + lengths.iter().sum::<u128>();
+    usize::try_from(total).expect("in-memory index snapshot size")
+}
+
+/// Serializes into one allocation of the exact final `size`. A `Vec`
+/// only reallocates when its length passes its capacity, and the length
+/// is checked to end at `size`, so the buffer is never reallocated.
+fn to_bytes(size: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Bytes {
+    let mut buf = Vec::with_capacity(size);
+    write(&mut buf).expect("writing to a Vec cannot fail");
+    debug_assert_eq!(buf.len(), size, "snapshot size accounting must be exact");
+    Bytes::from(buf)
+}
+
+/// Where a reader takes its sections from: copied out of a byte buffer
+/// (the copying loaders) or viewed in place in a file mapping (the
+/// zero-copy loaders). Readers never branch on it.
+pub(crate) enum Source<'a> {
+    Copy(&'a [u8]),
+    Map(&'a Arc<Mmap>),
+}
+
+impl Source<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Source::Copy(b) => b,
+            Source::Map(m) => m,
+        }
+    }
+
+    /// Section `i` of `layout`. A mapped view re-checks bounds and
+    /// alignment in [`Section::from_mapped`] before the cast.
+    fn section<T: Elem>(&self, layout: &Layout, i: usize) -> io::Result<Section<T>> {
+        let r = layout.sections[i].clone();
+        match self {
+            Source::Copy(b) => Ok(T::decode(&b[r]).into()),
+            Source::Map(m) => Section::from_mapped(m, r.start, r.len() / std::mem::size_of::<T>()),
+        }
+    }
+
+    /// The `order` section, always copied: it is rebuilt into a rank
+    /// lookup anyway.
+    fn order(&self, layout: &Layout, i: usize) -> io::Result<VertexOrder> {
+        validate_order(u32::decode(&self.bytes()[layout.sections[i].clone()]))
+    }
+}
+
+/// Reads one label arena from the sections `[offsets, hubs, dists,
+/// counts]` of `layout`, with [`LabelArena::from_sections`]' CSR checks.
+pub(crate) fn read_arena(
+    src: &Source,
+    layout: &Layout,
+    [offsets, hubs, dists, counts]: [usize; 4],
+) -> io::Result<LabelArena> {
+    LabelArena::from_sections(
+        src.section(layout, offsets)?,
+        src.section(layout, hubs)?,
+        src.section(layout, dists)?,
+        src.section(layout, counts)?,
+    )
+    .map_err(|e| bad(&format!("bad label arena: {e}")))
+}
+
+/// Reads a `PSPCIDX2` snapshot with the checks memory safety needs
+/// (layout, CSR offsets, order permutation); the copying loader adds
+/// [`SpcIndex::validate`].
+pub(crate) fn read_v2(src: Source) -> io::Result<SpcIndex> {
+    let layout = parse_layout(src.bytes(), &V2)?;
+    let order = src.order(&layout, 3)?;
+    let arena = read_arena(&src, &layout, [0, 4, 5, 2])?;
+    let weights = (layout.words[2] == 1)
+        .then(|| src.section(&layout, 1))
+        .transpose()?;
+    if arena.num_vertices() != order.len() {
+        return Err(bad("label row count disagrees with the order"));
+    }
+    Ok(SpcIndex::from_arena_sections(
+        order,
+        arena,
+        weights,
+        IndexStats::default(),
+    ))
+}
+
+/// Reads a `PSPCDIR2` snapshot (the directed analogue of [`read_v2`]).
+pub(crate) fn read_dir(src: Source) -> io::Result<DiSpcIndex> {
+    let layout = parse_layout(src.bytes(), &DIR)?;
+    let order = src.order(&layout, 4)?;
+    let lin = read_arena(&src, &layout, [0, 5, 7, 2])?;
+    let lout = read_arena(&src, &layout, [1, 6, 8, 3])?;
+    if lin.num_vertices() != order.len() || lout.num_vertices() != order.len() {
+        return Err(bad("label row counts disagree with the order"));
+    }
+    Ok(DiSpcIndex::from_arenas(
+        order,
+        lin,
+        lout,
+        IndexStats::default(),
+    ))
 }
 
 // ---------------------------------------------------------------- bulk I/O
@@ -341,65 +443,79 @@ pub(crate) fn parse_dir_layout(data: &[u8]) -> io::Result<DirLayout> {
 // single memcpy in each direction. The big-endian fallback converts per
 // element; it exists for correctness, not speed.
 
-macro_rules! bulk_codec {
-    ($get:ident, $wr:ident, $ty:ty, $width:expr) => {
-        /// Streams a whole section to any writer: one bulk write on
-        /// little-endian targets (a `Vec<u8>` sink makes this the classic
-        /// exact-size in-memory serialize; a `BufWriter<File>` makes it
-        /// the streaming migrate path).
-        pub(crate) fn $wr<W: io::Write>(w: &mut W, vals: &[$ty]) -> io::Result<()> {
-            #[cfg(target_endian = "little")]
-            // SAFETY: as above — an initialized $ty slice is readable as
-            // bytes.
-            return w.write_all(unsafe {
-                std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), vals.len() * $width)
-            });
-            #[cfg(not(target_endian = "little"))]
-            {
-                for &v in vals {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-                Ok(())
-            }
-        }
+/// The little-endian wire codec of one section element type.
+pub(crate) trait Elem: SectionElem {
+    /// Decodes a whole section. `src.len()` must be a multiple of the
+    /// element width (the caller has already validated section sizes).
+    fn decode(src: &[u8]) -> Vec<Self>;
 
-        /// Decodes a whole section. `src.len()` must be a multiple of the
-        /// element width (the caller has already validated section sizes).
-        pub(crate) fn $get(src: &[u8]) -> Vec<$ty> {
-            debug_assert_eq!(src.len() % $width, 0);
-            let n = src.len() / $width;
-            let mut v: Vec<$ty> = Vec::with_capacity(n);
-            #[cfg(target_endian = "little")]
-            // SAFETY: the destination allocation holds `n * $width` bytes,
-            // the copy fills exactly that many, and every byte pattern is
-            // a valid $ty.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src.as_ptr(), v.as_mut_ptr().cast::<u8>(), src.len());
-                v.set_len(n);
+    /// Streams a whole section to any writer: one bulk write on
+    /// little-endian targets (a `Vec<u8>` sink makes this the exact-size
+    /// in-memory serialize; a `BufWriter<File>` the streaming path).
+    fn encode<W: io::Write>(w: &mut W, vals: &[Self]) -> io::Result<()>;
+}
+
+macro_rules! bulk_codec {
+    ($ty:ty, $width:expr) => {
+        impl Elem for $ty {
+            fn decode(src: &[u8]) -> Vec<$ty> {
+                debug_assert_eq!(src.len() % $width, 0);
+                let n = src.len() / $width;
+                let mut v: Vec<$ty> = Vec::with_capacity(n);
+                #[cfg(target_endian = "little")]
+                // SAFETY: the destination allocation holds `n * $width`
+                // bytes, the copy fills exactly that many, and every byte
+                // pattern is a valid $ty.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        src.as_ptr(),
+                        v.as_mut_ptr().cast::<u8>(),
+                        src.len(),
+                    );
+                    v.set_len(n);
+                }
+                #[cfg(not(target_endian = "little"))]
+                v.extend(
+                    src.chunks_exact($width)
+                        .map(|c| <$ty>::from_le_bytes(c.try_into().unwrap())),
+                );
+                v
             }
-            #[cfg(not(target_endian = "little"))]
-            v.extend(
-                src.chunks_exact($width)
-                    .map(|c| <$ty>::from_le_bytes(c.try_into().unwrap())),
-            );
-            v
+
+            fn encode<W: io::Write>(w: &mut W, vals: &[$ty]) -> io::Result<()> {
+                #[cfg(target_endian = "little")]
+                // SAFETY: an initialized $ty slice is readable as bytes.
+                return w.write_all(unsafe {
+                    std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), vals.len() * $width)
+                });
+                #[cfg(not(target_endian = "little"))]
+                {
+                    for &v in vals {
+                        w.write_all(&v.to_le_bytes())?;
+                    }
+                    Ok(())
+                }
+            }
         }
     };
 }
 
-bulk_codec!(get_u64s, write_u64s, u64, 8);
-bulk_codec!(get_u32s, write_u32s, u32, 4);
-bulk_codec!(get_u16s, write_u16s, u16, 2);
+bulk_codec!(u64, 8);
+bulk_codec!(u32, 4);
+bulk_codec!(u16, 2);
 
 // ---------------------------------------------------------------------- v2
+
+fn v2_words(idx: &SpcIndex) -> [u64; 3] {
+    let m = idx.label_arena().num_entries();
+    let flags = u64::from(idx.weights().is_some());
+    [idx.num_vertices() as u64, m as u64, flags]
+}
 
 /// Exact v2 snapshot size in bytes for `idx` — header plus the six
 /// sections of the format spec ([module docs](self)).
 pub fn snapshot_size(idx: &SpcIndex) -> usize {
-    let n = idx.num_vertices();
-    let m = idx.label_arena().num_entries();
-    let weights = if idx.weights().is_some() { n * 8 } else { 0 };
-    V2_HEADER_BYTES + (n + 1) * 8 + weights + m * 8 + n * 4 + m * 4 + m * 2
+    layout_size(&V2, &v2_words(idx))
 }
 
 /// Serializes the index into a binary snapshot (format v2).
@@ -408,19 +524,7 @@ pub fn snapshot_size(idx: &SpcIndex) -> usize {
 /// ([`snapshot_size`]) and filled with bulk section writes — no
 /// reallocation, no per-entry encoding.
 pub fn index_to_binary(idx: &SpcIndex) -> Bytes {
-    let total = snapshot_size(idx);
-    let mut buf: Vec<u8> = Vec::with_capacity(total);
-    #[cfg(debug_assertions)]
-    let initial_capacity = buf.capacity();
-    write_index_to(&mut buf, idx).expect("writing to a Vec cannot fail");
-    debug_assert_eq!(buf.len(), total, "v2 size accounting must be exact");
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        buf.capacity(),
-        initial_capacity,
-        "v2 serialize must not reallocate"
-    );
-    Bytes::from(buf)
+    to_bytes(snapshot_size(idx), |buf| write_index_to(buf, idx))
 }
 
 /// Streams the v2 snapshot of `idx` to any writer — same wire bytes as
@@ -429,59 +533,15 @@ pub fn index_to_binary(idx: &SpcIndex) -> Bytes {
 /// Wrap `w` in a [`std::io::BufWriter`] when targeting a file.
 pub fn write_index_to<W: io::Write>(w: &mut W, idx: &SpcIndex) -> io::Result<()> {
     let arena = idx.label_arena();
-    let n = idx.num_vertices();
-    let m = arena.num_entries();
-    let mut hdr: Vec<u8> = Vec::with_capacity(V2_HEADER_BYTES);
-    hdr.put_slice(MAGIC_V2);
-    hdr.put_u64_le(n as u64);
-    hdr.put_u64_le(m as u64);
-    hdr.put_u64_le(u64::from(idx.weights().is_some()));
-    // Section table.
-    hdr.put_u64_le((n as u64 + 1) * 8);
-    hdr.put_u64_le(if idx.weights().is_some() {
-        n as u64 * 8
-    } else {
-        0
-    });
-    hdr.put_u64_le(m as u64 * 8);
-    hdr.put_u64_le(n as u64 * 4);
-    hdr.put_u64_le(m as u64 * 4);
-    hdr.put_u64_le(m as u64 * 2);
-    w.write_all(&hdr)?;
-    // Sections, descending alignment.
-    write_u64s(w, arena.offsets())?;
+    write_layout(w, &V2, &v2_words(idx))?;
+    Elem::encode(w, arena.offsets())?;
     if let Some(wt) = idx.weights() {
-        write_u64s(w, wt)?;
+        Elem::encode(w, wt)?;
     }
-    write_u64s(w, arena.counts())?;
-    write_u32s(w, idx.order().order())?;
-    write_u32s(w, arena.hubs())?;
-    write_u16s(w, arena.dists())?;
-    Ok(())
-}
-
-fn index_from_binary_v2(data: Bytes) -> io::Result<SpcIndex> {
-    // Shared with the zero-copy loader: all length validation and checked
-    // usize narrowing happens in parse_v2_layout.
-    let layout = parse_v2_layout(&data)?;
-    let section = |i: usize| {
-        let (lo, len) = layout.sections[i];
-        data.slice(lo..lo + len)
-    };
-    let offsets = get_u64s(&section(0));
-    let weights = layout.has_weights.then(|| get_u64s(&section(1)));
-    let counts = get_u64s(&section(2));
-    let order_vec = get_u32s(&section(3));
-    let hubs = get_u32s(&section(4));
-    let dists = get_u16s(&section(5));
-
-    let order = validate_order(order_vec)?;
-    let arena = LabelArena::from_raw(offsets, hubs, dists, counts)
-        .map_err(|e| bad(&format!("bad label arena: {e}")))?;
-    let idx = SpcIndex::from_arena(order, arena, weights, IndexStats::default());
-    idx.validate()
-        .map_err(|e| bad(&format!("snapshot fails validation: {e}")))?;
-    Ok(idx)
+    Elem::encode(w, arena.counts())?;
+    Elem::encode(w, idx.order().order())?;
+    Elem::encode(w, arena.hubs())?;
+    Elem::encode(w, arena.dists())
 }
 
 /// Checks `order[rank] = vertex` is a permutation and wraps it.
@@ -500,45 +560,6 @@ pub(crate) fn validate_order(order: Vec<u32>) -> io::Result<VertexOrder> {
 }
 
 // ---------------------------------------------------------------------- v1
-
-/// Serializes the index in the **legacy v1** per-entry format.
-///
-/// New snapshots should use [`index_to_binary`] (v2); this writer exists
-/// so migration round-trips and the v1 reader stay testable against real
-/// v1 bytes.
-pub fn index_to_binary_v1(idx: &SpcIndex) -> Bytes {
-    let n = idx.num_vertices();
-    let m = idx.label_arena().num_entries();
-    // Exact: magic + n + order + weights flag (+ weights) + per-rank
-    // length prefix + 14-byte entries.
-    let exact =
-        8 + 8 + n * 4 + 1 + if idx.weights().is_some() { n * 8 } else { 0 } + n * 4 + m * 14;
-    let mut buf = BytesMut::with_capacity(exact);
-    buf.put_slice(MAGIC_V1);
-    buf.put_u64_le(n as u64);
-    for r in 0..n as u32 {
-        buf.put_u32_le(idx.order().vertex_at(r));
-    }
-    match idx.weights() {
-        Some(w) => {
-            buf.put_u8(1);
-            for &x in w {
-                buf.put_u64_le(x);
-            }
-        }
-        None => buf.put_u8(0),
-    }
-    for ls in idx.label_arena().views() {
-        buf.put_u32_le(ls.len() as u32);
-        for e in ls.iter() {
-            buf.put_u32_le(e.hub);
-            buf.put_u16_le(e.dist);
-            buf.put_u64_le(e.count);
-        }
-    }
-    debug_assert_eq!(buf.len(), exact, "v1 size accounting must be exact");
-    buf.freeze()
-}
 
 fn index_from_binary_v1(mut data: Bytes) -> io::Result<SpcIndex> {
     // This parser doubles as the catch-all for unknown bytes (see
@@ -615,7 +636,10 @@ fn index_from_binary_v1(mut data: Bytes) -> io::Result<SpcIndex> {
 /// with a pointer to [`any_index_from_binary`].
 pub fn index_from_binary(data: Bytes) -> io::Result<SpcIndex> {
     if data.len() >= 8 && &data[..8] == MAGIC_V2 {
-        index_from_binary_v2(data)
+        let idx = read_v2(Source::Copy(&data))?;
+        idx.validate()
+            .map_err(|e| bad(&format!("snapshot fails validation: {e}")))?;
+        Ok(idx)
     } else if data.len() >= 8 && (&data[..8] == MAGIC_DIR || &data[..8] == MAGIC_DYN) {
         Err(bad(
             "snapshot holds a directed/dynamic index; load it with any_index_from_binary",
@@ -627,100 +651,43 @@ pub fn index_from_binary(data: Bytes) -> io::Result<SpcIndex> {
 
 // ---------------------------------------------------------------- directed
 
-/// Exact `PSPCDIR2` snapshot size in bytes for `idx`. Derived from
-/// [`dir_section_lengths`] so the size and the writer cannot drift.
+fn dir_words(idx: &DiSpcIndex) -> [u64; 4] {
+    let m_in = idx.lin_arena().num_entries() as u64;
+    let m_out = idx.lout_arena().num_entries() as u64;
+    [idx.num_vertices() as u64, m_in, m_out, 0]
+}
+
+/// Exact `PSPCDIR2` snapshot size in bytes for `idx`.
 pub fn di_snapshot_size(idx: &DiSpcIndex) -> usize {
-    let n = idx.num_vertices() as u128;
-    let m_in = idx.lin_arena().num_entries() as u128;
-    let m_out = idx.lout_arena().num_entries() as u128;
-    let sections: u128 = dir_section_lengths(n, m_in, m_out).iter().sum();
-    // The index is already resident, so its snapshot size fits usize.
-    DIR_HEADER_BYTES + usize::try_from(sections).expect("in-memory index snapshot size")
+    layout_size(&DIR, &dir_words(idx))
 }
 
 /// Serializes a directed index as a `PSPCDIR2` snapshot (exact-size
 /// single allocation, bulk section writes — see the [module docs](self)
 /// for the layout).
 pub fn di_index_to_binary(idx: &DiSpcIndex) -> Bytes {
-    let total = di_snapshot_size(idx);
-    let mut buf: Vec<u8> = Vec::with_capacity(total);
-    write_di_index_to(&mut buf, idx).expect("writing to a Vec cannot fail");
-    debug_assert_eq!(buf.len(), total, "directed size accounting must be exact");
-    Bytes::from(buf)
+    to_bytes(di_snapshot_size(idx), |buf| write_di_index_to(buf, idx))
 }
 
 /// Streams the `PSPCDIR2` snapshot of `idx` to any writer (same wire
 /// bytes as [`di_index_to_binary`]; see [`write_index_to`]).
 pub fn write_di_index_to<W: io::Write>(w: &mut W, idx: &DiSpcIndex) -> io::Result<()> {
     let (lin, lout) = (idx.lin_arena(), idx.lout_arena());
-    let n = idx.num_vertices();
-    let (m_in, m_out) = (lin.num_entries(), lout.num_entries());
-    let mut hdr: Vec<u8> = Vec::with_capacity(DIR_HEADER_BYTES);
-    hdr.put_slice(MAGIC_DIR);
-    hdr.put_u64_le(n as u64);
-    hdr.put_u64_le(m_in as u64);
-    hdr.put_u64_le(m_out as u64);
-    hdr.put_u64_le(0); // flags
-    for len in dir_section_lengths(n as u128, m_in as u128, m_out as u128) {
-        hdr.put_u64_le(len as u64);
-    }
-    w.write_all(&hdr)?;
-    write_u64s(w, lin.offsets())?;
-    write_u64s(w, lout.offsets())?;
-    write_u64s(w, lin.counts())?;
-    write_u64s(w, lout.counts())?;
-    write_u32s(w, idx.order().order())?;
-    write_u32s(w, lin.hubs())?;
-    write_u32s(w, lout.hubs())?;
-    write_u16s(w, lin.dists())?;
-    write_u16s(w, lout.dists())?;
-    Ok(())
-}
-
-/// The nine `PSPCDIR2` section lengths determined by `(n, m_in, m_out)`,
-/// in file order (u128 so corrupt header counts cannot overflow checks).
-fn dir_section_lengths(n: u128, m_in: u128, m_out: u128) -> [u128; 9] {
-    [
-        (n + 1) * 8,
-        (n + 1) * 8,
-        m_in * 8,
-        m_out * 8,
-        n * 4,
-        m_in * 4,
-        m_out * 4,
-        m_in * 2,
-        m_out * 2,
-    ]
+    write_layout(w, &DIR, &dir_words(idx))?;
+    Elem::encode(w, lin.offsets())?;
+    Elem::encode(w, lout.offsets())?;
+    Elem::encode(w, lin.counts())?;
+    Elem::encode(w, lout.counts())?;
+    Elem::encode(w, idx.order().order())?;
+    Elem::encode(w, lin.hubs())?;
+    Elem::encode(w, lout.hubs())?;
+    Elem::encode(w, lin.dists())?;
+    Elem::encode(w, lout.dists())
 }
 
 /// Deserializes a `PSPCDIR2` snapshot.
 pub fn di_index_from_binary(data: Bytes) -> io::Result<DiSpcIndex> {
-    // Shared with the zero-copy loader: all length validation and checked
-    // usize narrowing happens in parse_dir_layout.
-    let layout = parse_dir_layout(&data)?;
-    let section = |i: usize| {
-        let (lo, len) = layout.sections[i];
-        data.slice(lo..lo + len)
-    };
-    let offsets_in = get_u64s(&section(0));
-    let offsets_out = get_u64s(&section(1));
-    let counts_in = get_u64s(&section(2));
-    let counts_out = get_u64s(&section(3));
-    let order_vec = get_u32s(&section(4));
-    let hubs_in = get_u32s(&section(5));
-    let hubs_out = get_u32s(&section(6));
-    let dists_in = get_u16s(&section(7));
-    let dists_out = get_u16s(&section(8));
-
-    let order = validate_order(order_vec)?;
-    let lin = LabelArena::from_raw(offsets_in, hubs_in, dists_in, counts_in)
-        .map_err(|e| bad(&format!("bad in-label arena: {e}")))?;
-    let lout = LabelArena::from_raw(offsets_out, hubs_out, dists_out, counts_out)
-        .map_err(|e| bad(&format!("bad out-label arena: {e}")))?;
-    if lin.num_vertices() != order.len() || lout.num_vertices() != order.len() {
-        return Err(bad("label row counts disagree with the order"));
-    }
-    let idx = DiSpcIndex::from_arenas(order, lin, lout, IndexStats::default());
+    let idx = read_dir(Source::Copy(&data))?;
     idx.validate()
         .map_err(|e| bad(&format!("snapshot fails validation: {e}")))?;
     Ok(idx)
@@ -728,31 +695,21 @@ pub fn di_index_from_binary(data: Bytes) -> io::Result<DiSpcIndex> {
 
 // ----------------------------------------------------------------- dynamic
 
-/// Exact `PSPCDYN2` snapshot size in bytes for `idx`. Derived from
-/// [`dyn_section_lengths`] so the size and the writer cannot drift.
-pub fn dyn_snapshot_size(idx: &DynamicDistanceIndex) -> usize {
-    let n = idx.num_vertices() as u128;
-    let m = idx.num_entries() as u128;
-    let a = 2 * idx.num_edges() as u128;
-    let sections: u128 = dyn_section_lengths(n, m, a).iter().sum();
-    // The index is already resident, so its snapshot size fits usize.
-    DYN_HEADER_BYTES + usize::try_from(sections).expect("in-memory index snapshot size")
+fn dyn_words(idx: &DynamicDistanceIndex) -> [u64; 4] {
+    let (n, m, a) = (idx.num_vertices(), idx.num_entries(), 2 * idx.num_edges());
+    [n as u64, m as u64, a as u64, 0]
 }
 
-/// The six `PSPCDYN2` section lengths determined by `(n, m, a)`.
-fn dyn_section_lengths(n: u128, m: u128, a: u128) -> [u128; 6] {
-    [(n + 1) * 8, (n + 1) * 8, n * 4, a * 4, m * 4, m * 2]
+/// Exact `PSPCDYN2` snapshot size in bytes for `idx`.
+pub fn dyn_snapshot_size(idx: &DynamicDistanceIndex) -> usize {
+    layout_size(&DYN, &dyn_words(idx))
 }
 
 /// Serializes a dynamic distance index as a `PSPCDYN2` snapshot. The
 /// per-row adjacency and label vectors are flattened to CSR on the way
 /// out; `updated_entries` is not persisted.
 pub fn dyn_index_to_binary(idx: &DynamicDistanceIndex) -> Bytes {
-    let total = dyn_snapshot_size(idx);
-    let mut buf: Vec<u8> = Vec::with_capacity(total);
-    write_dyn_index_to(&mut buf, idx).expect("writing to a Vec cannot fail");
-    debug_assert_eq!(buf.len(), total, "dynamic size accounting must be exact");
-    Bytes::from(buf)
+    to_bytes(dyn_snapshot_size(idx), |buf| write_dyn_index_to(buf, idx))
 }
 
 /// Streams the `PSPCDYN2` snapshot of `idx` to any writer (same wire
@@ -761,18 +718,7 @@ pub fn dyn_index_to_binary(idx: &DynamicDistanceIndex) -> Bytes {
 /// [`std::io::BufWriter`] when targeting a file.
 pub fn write_dyn_index_to<W: io::Write>(w: &mut W, idx: &DynamicDistanceIndex) -> io::Result<()> {
     let n = idx.num_vertices();
-    let m = idx.num_entries();
-    let a = 2 * idx.num_edges();
-    let mut hdr: Vec<u8> = Vec::with_capacity(DYN_HEADER_BYTES);
-    hdr.put_slice(MAGIC_DYN);
-    hdr.put_u64_le(n as u64);
-    hdr.put_u64_le(m as u64);
-    hdr.put_u64_le(a as u64);
-    hdr.put_u64_le(0); // flags
-    for len in dyn_section_lengths(n as u128, m as u128, a as u128) {
-        hdr.put_u64_le(len as u64);
-    }
-    w.write_all(&hdr)?;
+    write_layout(w, &DYN, &dyn_words(idx))?;
     let mut adj_offsets: Vec<u64> = Vec::with_capacity(n + 1);
     let mut lab_offsets: Vec<u64> = Vec::with_capacity(n + 1);
     adj_offsets.push(0);
@@ -784,11 +730,11 @@ pub fn write_dyn_index_to<W: io::Write>(w: &mut W, idx: &DynamicDistanceIndex) -
         adj_offsets.push(at_a);
         lab_offsets.push(at_m);
     }
-    write_u64s(w, &adj_offsets)?;
-    write_u64s(w, &lab_offsets)?;
-    write_u32s(w, idx.order().order())?;
+    Elem::encode(w, &adj_offsets)?;
+    Elem::encode(w, &lab_offsets)?;
+    Elem::encode(w, idx.order().order())?;
     for r in 0..n as u32 {
-        write_u32s(w, idx.adj_of_rank(r))?;
+        Elem::encode(w, idx.adj_of_rank(r))?;
     }
     for r in 0..n as u32 {
         for &(h, _) in idx.labels_of_rank(r) {
@@ -805,54 +751,15 @@ pub fn write_dyn_index_to<W: io::Write>(w: &mut W, idx: &DynamicDistanceIndex) -
 
 /// Deserializes a `PSPCDYN2` snapshot.
 pub fn dyn_index_from_binary(data: Bytes) -> io::Result<DynamicDistanceIndex> {
-    if data.len() < 8 || &data[..8] != MAGIC_DYN {
-        return Err(bad("not a dynamic PSPC snapshot"));
-    }
-    if data.len() < DYN_HEADER_BYTES {
-        return Err(bad("truncated dynamic header"));
-    }
-    let mut hdr = data.slice(8..DYN_HEADER_BYTES);
-    let n64 = hdr.get_u64_le();
-    let m64 = hdr.get_u64_le();
-    let a64 = hdr.get_u64_le();
-    if hdr.get_u64_le() != 0 {
-        return Err(bad("unknown dynamic flags"));
-    }
-    if n64 > u32::MAX as u64 + 1 {
-        return Err(bad("vertex count exceeds rank space"));
-    }
-    let expect = dyn_section_lengths(n64 as u128, m64 as u128, a64 as u128);
-    let mut total = DYN_HEADER_BYTES as u128;
-    for (i, &want) in expect.iter().enumerate() {
-        if hdr.get_u64_le() as u128 != want {
-            return Err(bad(&format!("section {i} length disagrees with header")));
-        }
-        total += want;
-    }
-    if data.len() as u128 != total {
-        return Err(bad(if (data.len() as u128) < total {
-            "truncated dynamic section data"
-        } else {
-            "trailing bytes after dynamic sections"
-        }));
-    }
-    let mut at = DYN_HEADER_BYTES;
-    let mut section = |len: u128| -> io::Result<Bytes> {
-        let len = checked_len(len, "section length")?;
-        let lo = at;
-        at = lo
-            .checked_add(len)
-            .ok_or_else(|| bad("section end overflows the host address space"))?;
-        Ok(data.slice(lo..at))
-    };
-    let adj_offsets = get_u64s(&section(expect[0])?);
-    let lab_offsets = get_u64s(&section(expect[1])?);
-    let order_vec = get_u32s(&section(expect[2])?);
-    let adj_flat = get_u32s(&section(expect[3])?);
-    let hubs = get_u32s(&section(expect[4])?);
-    let dists = get_u16s(&section(expect[5])?);
+    let layout = parse_layout(&data, &DYN)?;
+    let section = |i: usize| &data[layout.sections[i].clone()];
+    let adj_offsets = u64::decode(section(0));
+    let lab_offsets = u64::decode(section(1));
+    let order = Source::Copy(&data).order(&layout, 2)?;
+    let adj_flat = u32::decode(section(3));
+    let hubs = u32::decode(section(4));
+    let dists = u16::decode(section(5));
 
-    let order = validate_order(order_vec)?;
     let rows = |offsets: &[u64], total: usize, what: &str| -> io::Result<Vec<(usize, usize)>> {
         match (offsets.first(), offsets.last()) {
             (Some(&0), Some(&last)) if last == total as u64 => {}
@@ -952,7 +859,14 @@ pub fn any_index_from_binary(data: Bytes) -> io::Result<SnapshotKind> {
 mod tests {
     use super::*;
     use crate::builder::{build_pspc, PspcConfig};
+    use bytes::BufMut;
     use pspc_graph::generators::barabasi_albert;
+
+    const V2_HEADER_BYTES: usize = 80;
+    /// v1 snapshots of `build(24, 1)` and `build_weighted(24, 1)`, written
+    /// by the retired v1 writer (`tests/golden_snapshots.rs` pins them).
+    const V1: &[u8] = include_bytes!("../tests/fixtures/ba24.v1.pspc");
+    const V1_WEIGHTED: &[u8] = include_bytes!("../tests/fixtures/ba24w.v1.pspc");
 
     fn build(n: usize, seed: u64) -> SpcIndex {
         let g = barabasi_albert(n, 2, seed);
@@ -989,8 +903,8 @@ mod tests {
 
     #[test]
     fn v1_round_trip_and_cross_format_equality() {
-        for idx in [build(80, 7), build_weighted(48, 3)] {
-            let from_v1 = index_from_binary(index_to_binary_v1(&idx)).unwrap();
+        for (idx, v1) in [(build(24, 1), V1), (build_weighted(24, 1), V1_WEIGHTED)] {
+            let from_v1 = index_from_binary(Bytes::from(v1)).unwrap();
             let from_v2 = index_from_binary(index_to_binary(&idx)).unwrap();
             assert_eq!(from_v1, from_v2, "formats must load identical indexes");
             assert_eq!(idx.order(), from_v1.order());
@@ -1026,7 +940,7 @@ mod tests {
     #[test]
     fn every_truncation_errors_without_panic_both_formats() {
         let idx = build_weighted(40, 5);
-        for bin in [index_to_binary(&idx), index_to_binary_v1(&idx)] {
+        for bin in [index_to_binary(&idx), Bytes::from(V1_WEIGHTED)] {
             // Every strict prefix must be rejected with an error — no
             // length may panic or be accepted as a shorter valid snapshot.
             for len in 0..bin.len() {
@@ -1257,7 +1171,6 @@ mod tests {
         let dynix = build_dynamic(30, 1);
         for (bytes, want) in [
             (index_to_binary(&und), "undirected"),
-            (index_to_binary_v1(&und), "undirected"),
             (di_index_to_binary(&dir), "directed"),
             (dyn_index_to_binary(&dynix), "dynamic"),
         ] {
@@ -1266,6 +1179,12 @@ mod tests {
             assert_eq!(loaded.name(), want);
             assert_eq!(loaded.num_vertices(), 30);
         }
+        // The v1 fixture (24 vertices) is detected and dispatched too.
+        let v1 = Bytes::from(V1);
+        assert_eq!(snapshot_kind_name(&v1), Some("undirected"));
+        let loaded = any_index_from_binary(v1).unwrap();
+        assert_eq!(loaded.name(), "undirected");
+        assert_eq!(loaded.num_vertices(), 24);
         assert_eq!(snapshot_kind_name(b"PSPC"), None);
         assert_eq!(snapshot_kind_name(b"XXXXXXXXXXXX"), None);
     }

@@ -24,12 +24,29 @@
 //! double every structure for marginal benefit at current scales, and
 //! the dynamic kind mutates in place. `pspc serve --mmap` on those falls
 //! back transparently.
+//!
+//! # Reading a shard
+//!
+//! A shard file is one more format of [`crate::serialize`]'s codec: it is
+//! written with the codec's header writer, and each time a shard is
+//! mapped — at [`open_sharded`], and again whenever an evicted shard is
+//! mapped back in — the codec parses its section table, the header words
+//! are cross-checked against the manifest, and the arena is read through
+//! the same reader as every other mapped snapshot, with the memory-safety
+//! checks listed in [`crate::mapped`]. The manifest has no section table
+//! and keeps its own parser here.
+//!
+//! Like any mapped snapshot, the manifest's shard files must never be
+//! truncated or rewritten in place while a [`ShardedSpcIndex`] serves
+//! them: a vanished page raises `SIGBUS` in the query that touches it.
+//! Write a new snapshot under a new name, or rename over the old files;
+//! [`write_atomically`] gives every file a fresh temp name and renames it
+//! into place.
 
 use crate::label::{Count, IndexStats, LabelArena, SpcIndex};
-use crate::section::Section;
 use crate::serialize::{
-    bad, checked_len, get_u32s, get_u64s, validate_order, write_u16s, write_u32s, write_u64s,
-    MAGIC_SHARD_FILE, MAGIC_SHARD_MANIFEST,
+    bad, checked_len, layout_size, parse_layout, read_arena, validate_order, write_layout, Elem,
+    Source, MAGIC_SHARD_MANIFEST, SHD1,
 };
 use memmap2::Mmap;
 use parking_lot::Mutex;
@@ -43,9 +60,6 @@ use std::sync::Arc;
 
 /// Fixed manifest header bytes: magic, n, m, flags, shard count, target.
 const MANIFEST_HEADER_BYTES: usize = 8 * 6;
-/// Fixed shard-file header bytes: magic, shard index, start, end, entries
-/// plus the four-entry section table.
-const SHARD_HEADER_BYTES: usize = 8 * 5 + 8 * 4;
 /// Per-entry payload bytes (4 hub + 2 dist + 8 count), used to target
 /// `--shard-bytes`.
 const ENTRY_BYTES: u64 = 14;
@@ -125,9 +139,9 @@ pub fn write_sharded_index(
         buf.extend_from_slice(&file_bytes.to_le_bytes());
     }
     if let Some(w) = idx.weights() {
-        write_u64s(&mut buf, w)?;
+        Elem::encode(&mut buf, w)?;
     }
-    write_u32s(&mut buf, idx.order().order())?;
+    Elem::encode(&mut buf, idx.order().order())?;
     write_atomically(manifest, |f| f.write_all(&buf))?;
     Ok(ranges.len())
 }
@@ -145,51 +159,54 @@ fn write_shard_file(
         arena.offsets()[start as usize] as usize,
         arena.offsets()[end as usize] as usize,
     );
-    let entries = (hi - lo) as u64;
-    let nr = (end - start) as usize;
-    let sections: [u64; 4] = [(nr as u64 + 1) * 8, entries * 8, entries * 4, entries * 2];
+    let words = [i as u64, start as u64, end as u64, (hi - lo) as u64];
     // Rebased offsets: shard-local rows start at 0.
     let base = arena.offsets()[start as usize];
     let rebased: Vec<u64> = arena.offsets()[start as usize..=end as usize]
         .iter()
         .map(|&o| o - base)
         .collect();
-    let total = (SHARD_HEADER_BYTES as u64) + sections.iter().sum::<u64>();
     write_atomically(path, |w| {
         let mut w = io::BufWriter::new(w);
-        w.write_all(MAGIC_SHARD_FILE)?;
-        w.write_all(&(i as u64).to_le_bytes())?;
-        w.write_all(&(start as u64).to_le_bytes())?;
-        w.write_all(&(end as u64).to_le_bytes())?;
-        w.write_all(&entries.to_le_bytes())?;
-        for s in sections {
-            w.write_all(&s.to_le_bytes())?;
-        }
-        write_u64s(&mut w, &rebased)?;
-        write_u64s(&mut w, &arena.counts()[lo..hi])?;
-        write_u32s(&mut w, &arena.hubs()[lo..hi])?;
-        write_u16s(&mut w, &arena.dists()[lo..hi])?;
+        write_layout(&mut w, &SHD1, &words)?;
+        Elem::encode(&mut w, &rebased)?;
+        Elem::encode(&mut w, &arena.counts()[lo..hi])?;
+        Elem::encode(&mut w, &arena.hubs()[lo..hi])?;
+        Elem::encode(&mut w, &arena.dists()[lo..hi])?;
         w.flush()
     })?;
-    Ok(total)
+    Ok(layout_size(&SHD1, &words) as u64)
 }
 
-/// Writes a file via `<path>.tmp` + `fsync` + atomic rename, so a crash
-/// or failed write never leaves a truncated file under the final name.
-/// `pspc migrate` routes its destination snapshots through this too.
+/// Writes a file via a temp file + `fsync` + atomic rename + `fsync` of
+/// the directory, so a crash or failed write never leaves a truncated
+/// file under the final name, and a returned `Ok` survives a crash.
+/// Each call writes its own temp file (`<path>.<pid>.<seq>.tmp`, in the
+/// same directory), so concurrent writers to one path never share one:
+/// the last rename wins, whole. `pspc build` and `pspc migrate` route
+/// their snapshots through this too.
 pub fn write_atomically(
     path: &Path,
     write: impl FnOnce(&mut std::fs::File) -> io::Result<()>,
 ) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         write(&mut f)?;
         f.sync_all()?;
         drop(f);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        // A bare file name's parent is the empty path: the current
+        // directory.
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -260,11 +277,13 @@ fn parse_manifest(path: &Path) -> io::Result<Manifest> {
     let mut table = Vec::with_capacity(s);
     let mut next_start = 0u64;
     let mut entry_sum = 0u128;
+    // An empty index is one empty shard; otherwise every shard has rows.
+    let empty_index = n64 == 0 && s == 1;
     for i in 0..s {
         let (start, end, entries, file_bytes) =
             (u64_at(at), u64_at(at + 8), u64_at(at + 16), u64_at(at + 24));
         at += 32;
-        if start != next_start || end <= start || end > n64 {
+        if start != next_start || (end <= start && !empty_index) || end > n64 {
             return Err(bad("shard rank ranges must tile 0..n contiguously"));
         }
         next_start = end;
@@ -284,13 +303,13 @@ fn parse_manifest(path: &Path) -> io::Result<Manifest> {
         return Err(bad("shard entry counts disagree with the manifest total"));
     }
     let weights = if has_weights {
-        let w = get_u64s(&data[at..at + n * 8]);
+        let w = u64::decode(&data[at..at + n * 8]);
         at += n * 8;
         Some(w)
     } else {
         None
     };
-    let order = validate_order(get_u32s(&data[at..at + n * 4]))?;
+    let order = validate_order(u32::decode(&data[at..at + n * 4]))?;
     Ok(Manifest {
         n,
         m,
@@ -301,57 +320,26 @@ fn parse_manifest(path: &Path) -> io::Result<Manifest> {
     })
 }
 
-/// Maps shard `meta`'s file, validates its header against the manifest,
-/// and builds the mapped arena. Bounds/alignment are re-checked by
-/// [`Section::from_mapped`] before any in-place cast.
+/// Maps shard `meta`'s file, parses its section table, cross-checks the
+/// header words and the file size against the manifest, and reads the
+/// mapped arena (bounds and alignment re-checked by the codec before any
+/// in-place cast).
 fn map_shard(meta: &ShardMeta, index: usize) -> io::Result<Arc<LabelArena>> {
     let file = std::fs::File::open(&meta.path)?;
     // SAFETY: read-only private mapping of a shard file that is only ever
     // replaced by atomic rename.
     let map = Arc::new(unsafe { Mmap::map(&file) }?);
-    if map.len() < SHARD_HEADER_BYTES || &map[..8] != MAGIC_SHARD_FILE {
-        return Err(bad("not a PSPC shard file"));
-    }
-    let u64_at = |at: usize| u64::from_le_bytes(map[at..at + 8].try_into().unwrap());
-    let (idx64, start, end, entries) = (u64_at(8), u64_at(16), u64_at(24), u64_at(32));
-    if idx64 != index as u64
-        || start != meta.start as u64
-        || end != meta.end as u64
-        || entries != meta.entries
-    {
+    let layout = parse_layout(&map, &SHD1)?;
+    let words = [
+        index as u64,
+        meta.start.into(),
+        meta.end.into(),
+        meta.entries,
+    ];
+    if layout.words != words || map.len() as u64 != meta.file_bytes {
         return Err(bad("shard header disagrees with the manifest"));
     }
-    let nr = (end - start) as u128;
-    let expect: [u128; 4] = [
-        (nr + 1) * 8,
-        entries as u128 * 8,
-        entries as u128 * 4,
-        entries as u128 * 2,
-    ];
-    let mut total = SHARD_HEADER_BYTES as u128;
-    let mut sections = [(0usize, 0usize); 4];
-    let mut pos = SHARD_HEADER_BYTES;
-    for (i, &want) in expect.iter().enumerate() {
-        if u64_at(40 + 8 * i) as u128 != want {
-            return Err(bad("shard section length disagrees with its header"));
-        }
-        let len = checked_len(want, "shard section length")?;
-        sections[i] = (pos, len);
-        pos = pos
-            .checked_add(len)
-            .ok_or_else(|| bad("shard section end overflows the host address space"))?;
-        total += want;
-    }
-    if map.len() as u128 != total || meta.file_bytes as u128 != total {
-        return Err(bad("shard file size disagrees with its section table"));
-    }
-    let offsets = Section::<u64>::from_mapped(&map, sections[0].0, sections[0].1 / 8)?;
-    let counts = Section::<Count>::from_mapped(&map, sections[1].0, sections[1].1 / 8)?;
-    let hubs = Section::<u32>::from_mapped(&map, sections[2].0, sections[2].1 / 4)?;
-    let dists = Section::<u16>::from_mapped(&map, sections[3].0, sections[3].1 / 2)?;
-    let arena = LabelArena::from_sections(offsets, hubs, dists, counts)
-        .map_err(|e| bad(&format!("bad shard arena: {e}")))?;
-    Ok(Arc::new(arena))
+    read_arena(&Source::Map(&map), &layout, [0, 2, 3, 1]).map(Arc::new)
 }
 
 // ------------------------------------------------------------------ serving
@@ -596,7 +584,7 @@ pub fn sharded_to_owned(manifest: impl AsRef<Path>) -> io::Result<SpcIndex> {
         counts.extend_from_slice(arena.counts());
         base += meta.entries;
     }
-    let arena = LabelArena::from_raw(offsets, hubs, dists, counts)
+    let arena = LabelArena::from_sections(offsets.into(), hubs.into(), dists.into(), counts.into())
         .map_err(|e| bad(&format!("bad label arena: {e}")))?;
     if arena.num_vertices() != man.order.len() {
         return Err(bad("label row count disagrees with the order"));
@@ -634,6 +622,8 @@ mod tests {
     use super::*;
     use crate::builder::{build_pspc, PspcConfig};
     use pspc_graph::generators::barabasi_albert;
+
+    const SHARD_HEADER_BYTES: usize = 72;
 
     fn build(n: usize, seed: u64) -> SpcIndex {
         let g = barabasi_albert(n, 2, seed);
@@ -725,14 +715,26 @@ mod tests {
 
     #[test]
     fn single_shard_and_unlimited_residency() {
-        let idx = build(40, 2);
-        let manifest = temp_manifest("single");
-        let shards = write_sharded_index(&idx, &manifest, u64::MAX / 2).unwrap();
-        assert_eq!(shards, 1);
-        let sharded = open_sharded(&manifest, 0).unwrap();
-        assert_eq!(sharded.max_resident(), 1);
-        assert_eq!(idx.query(0, 39), sharded.query(0, 39));
-        cleanup(&manifest, shards);
+        // An empty index is one empty shard, and opens like any other.
+        let empty = SpcIndex::new(
+            VertexOrder::from_order(vec![]),
+            vec![],
+            None,
+            Default::default(),
+        );
+        for idx in [build(40, 2), empty] {
+            let manifest = temp_manifest("single");
+            let shards = write_sharded_index(&idx, &manifest, u64::MAX / 2).unwrap();
+            assert_eq!(shards, 1);
+            let sharded = open_sharded(&manifest, 0).unwrap();
+            assert_eq!(sharded.max_resident(), 1);
+            if let Some(last) = idx.num_vertices().checked_sub(1) {
+                assert_eq!(idx.query(0, last as u32), sharded.query(0, last as u32));
+            }
+            let owned = sharded_to_owned(&manifest).unwrap();
+            assert_eq!(owned.label_arena(), idx.label_arena());
+            cleanup(&manifest, shards);
+        }
     }
 
     #[test]
@@ -844,5 +846,51 @@ mod tests {
         let mut tmp = p.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists(), "temp file must be cleaned up");
+    }
+
+    /// Files in `p`'s directory whose names extend `p`'s: temp files.
+    fn temp_siblings(p: &Path) -> Vec<String> {
+        let name = p.file_name().unwrap().to_str().unwrap();
+        std::fs::read_dir(p.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|f| f.starts_with(name) && f != name)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_both_succeed() {
+        let p = temp_manifest("atomic-race");
+        assert!(write_atomically(&p, |_| Err(io::Error::other("boom"))).is_err());
+        assert_eq!(temp_siblings(&p), Vec::<String>::new());
+        // Both writers hold their temp files open before either renames.
+        let barrier = std::sync::Barrier::new(2);
+        let payloads = [vec![b'a'; 1 << 16], vec![b'b'; 1 << 16]];
+        let results: Vec<io::Result<()>> = std::thread::scope(|s| {
+            let writers: Vec<_> = payloads
+                .iter()
+                .map(|bytes| {
+                    let (p, barrier) = (&p, &barrier);
+                    s.spawn(move || {
+                        write_atomically(p, |f| {
+                            f.write_all(bytes)?;
+                            barrier.wait();
+                            Ok(())
+                        })
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for r in &results {
+            assert!(r.is_ok(), "{r:?}");
+        }
+        let written = std::fs::read(&p).unwrap();
+        assert!(
+            payloads.contains(&written),
+            "file must be one writer's bytes"
+        );
+        assert_eq!(temp_siblings(&p), Vec::<String>::new());
+        std::fs::remove_file(&p).unwrap();
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based coverage of the snapshot formats ([`pspc_core::serialize`]):
-//! v2 round-trip identity, v1 ↔ v2 cross-format equality, the directed
+//! v2 round-trip identity, v1 ↔ v2 cross-format equality (on the v1
+//! fixtures, since nothing writes v1 any more), the directed
 //! (`PSPCDIR2`) and dynamic (`PSPCDYN2`) section layouts, kind
 //! auto-detection, and — the part hand-written cases tend to miss — that
 //! truncating or corrupting a snapshot at *arbitrary* positions
@@ -8,20 +9,25 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use pspc_core::builder::build_pspc_with_order;
+use pspc_core::builder::{build_pspc, build_pspc_with_order};
 use pspc_core::directed::pspc::{build_di_pspc, DiPspcConfig};
 use pspc_core::serialize::{
     any_index_from_binary, di_index_from_binary, di_index_to_binary, dyn_index_from_binary,
-    dyn_index_to_binary, index_from_binary, index_to_binary, index_to_binary_v1,
-    snapshot_kind_name, Bytes,
+    dyn_index_to_binary, index_from_binary, index_to_binary, snapshot_kind_name, Bytes,
 };
 use pspc_core::{
     map_index_from_file, open_sharded, sharded_to_owned, write_sharded_index, DiSpcIndex,
     DynamicDistanceIndex, PspcConfig, SnapshotKind, SpcIndex,
 };
 use pspc_graph::digraph::DiGraphBuilder;
+use pspc_graph::generators::barabasi_albert;
 use pspc_graph::{Graph, GraphBuilder};
 use pspc_order::OrderingStrategy;
+
+/// v1 snapshots of `barabasi_albert(24, 2, 1)`, unweighted and weighted,
+/// written by the retired v1 writer (`golden_snapshots.rs` pins them).
+const V1: &[u8] = include_bytes!("fixtures/ba24.v1.pspc");
+const V1_WEIGHTED: &[u8] = include_bytes!("fixtures/ba24w.v1.pspc");
 
 /// Strategy: an arbitrary simple graph with up to `max_n` vertices.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
@@ -136,22 +142,6 @@ proptest! {
         prop_assert_eq!(idx.weights(), restored.weights());
     }
 
-    /// A v1 snapshot and a v2 snapshot of the same index load to equal
-    /// indexes (and queries agree with the original).
-    #[test]
-    fn v1_v2_cross_format_equality(g in arb_graph(32, 90), weighted in any::<bool>()) {
-        let idx = build_index(&g, weighted);
-        let from_v1 = index_from_binary(index_to_binary_v1(&idx)).unwrap();
-        let from_v2 = index_from_binary(index_to_binary(&idx)).unwrap();
-        prop_assert_eq!(&from_v1, &from_v2);
-        let n = g.num_vertices() as u32;
-        for s in 0..n.min(8) {
-            for t in 0..n {
-                prop_assert_eq!(idx.query(s, t), from_v2.query(s, t));
-            }
-        }
-    }
-
     /// Truncating a v2 snapshot anywhere — in particular at and around
     /// every header/section boundary — errors, never panics, and never
     /// loads as a shorter valid snapshot.
@@ -244,7 +234,7 @@ proptest! {
         let dynix = build_dynamic(n, &edges, &[]);
         for (bytes, want) in [
             (index_to_binary(&und), "undirected"),
-            (index_to_binary_v1(&und), "undirected"),
+            (Bytes::from(if weighted { V1_WEIGHTED } else { V1 }), "undirected"),
             (di_index_to_binary(&dir), "directed"),
             (dyn_index_to_binary(&dynix), "dynamic"),
         ] {
@@ -333,7 +323,8 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let idx = build_index(&g, weighted);
-        for bin in [index_to_binary(&idx), index_to_binary_v1(&idx)] {
+        let v1 = Bytes::from(if weighted { V1_WEIGHTED } else { V1 });
+        for bin in [index_to_binary(&idx), v1] {
             let mut tampered = bin.to_vec();
             let pos = (pos_seed % tampered.len() as u64) as usize;
             tampered[pos] ^= flip;
@@ -342,6 +333,33 @@ proptest! {
                     loaded.validate().is_ok(),
                     "corrupt snapshot loaded without passing validation"
                 );
+            }
+        }
+    }
+}
+
+/// A v1 snapshot and a v2 snapshot of the same index load to equal
+/// indexes (and queries agree with the original). The v1 side is a
+/// fixture, so this runs on the two fixture indexes, not on random graphs.
+#[test]
+fn v1_v2_cross_format_equality() {
+    let g = barabasi_albert(24, 2, 1);
+    let w: Vec<u64> = (0..24).map(|i| 1 + i % 4).collect();
+    let weighted = build_pspc_with_order(
+        &g,
+        OrderingStrategy::Degree.compute(&g),
+        Some(&w),
+        &PspcConfig::default(),
+    );
+    let unweighted = build_pspc(&g, &PspcConfig::default());
+    for (v1, (idx, _)) in [(V1, unweighted), (V1_WEIGHTED, weighted)] {
+        let from_v1 = index_from_binary(Bytes::from(v1)).unwrap();
+        let from_v2 = index_from_binary(index_to_binary(&idx)).unwrap();
+        assert_eq!(&from_v1, &from_v2);
+        let n = g.num_vertices() as u32;
+        for s in 0..n.min(8) {
+            for t in 0..n {
+                assert_eq!(idx.query(s, t), from_v2.query(s, t));
             }
         }
     }

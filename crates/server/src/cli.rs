@@ -10,7 +10,7 @@ use crate::client::RemoteClient;
 use crate::server::{serve_with_obs, ObsConfig};
 use pspc_core::SnapshotKind;
 use pspc_obs::{info, warn};
-use pspc_service::cli::{load_any_index, OutputFormat};
+use pspc_service::cli::{load_any_index, write_any_index, OutputFormat};
 use pspc_service::pairs::{read_pairs, write_answers, write_answers_json};
 use pspc_service::EngineConfig;
 
@@ -52,7 +52,6 @@ const DEFAULT_SHARD_BYTES: u64 = 256 << 20;
 /// atomic rename, so a failed migrate never leaves a truncated snapshot
 /// under the destination name.
 fn cmd_migrate(args: &[String]) -> Result<(), String> {
-    use pspc_core::serialize::{write_di_index_to, write_dyn_index_to, write_index_to};
     let mut paths: Vec<&str> = Vec::new();
     let mut shard = false;
     let mut shard_bytes = DEFAULT_SHARD_BYTES;
@@ -100,16 +99,7 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    pspc_core::write_atomically(std::path::Path::new(new), |f| {
-        let mut w = std::io::BufWriter::new(f);
-        match &snapshot {
-            SnapshotKind::Undirected(i) => write_index_to(&mut w, i),
-            SnapshotKind::Directed(i) => write_di_index_to(&mut w, i),
-            SnapshotKind::Dynamic(i) => write_dyn_index_to(&mut w, i),
-        }?;
-        std::io::Write::flush(&mut w)
-    })
-    .map_err(|e| format!("writing {new}: {e}"))?;
+    let bytes = write_any_index(new, &snapshot)?;
     info!(
         "migrated snapshot",
         old = old,
@@ -117,7 +107,7 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
         kind = snapshot.name(),
         vertices = snapshot.num_vertices(),
         load_ms = format!("{:.1}", load_secs * 1e3),
-        bytes = std::fs::metadata(new).map(|m| m.len()).unwrap_or(0),
+        bytes = bytes,
     );
     Ok(())
 }
@@ -458,15 +448,17 @@ mod tests {
 
     #[test]
     fn migrate_round_trips_v1_to_v2() {
-        use pspc_core::serialize::{index_to_binary, index_to_binary_v1};
+        use pspc_core::serialize::index_to_binary;
         use pspc_service::cli::load_index;
         let dir = std::env::temp_dir().join("pspc_migrate_test");
         std::fs::create_dir_all(&dir).unwrap();
         let old = dir.join("old_v1.pspc");
         let new = dir.join("new_v2.pspc");
-        let g = pspc_graph::generators::barabasi_albert(80, 2, 21);
+        // The v1 fixture holds this index; nothing writes v1 any more.
+        let g = pspc_graph::generators::barabasi_albert(24, 2, 1);
         let (idx, _) = pspc_core::build_pspc(&g, &pspc_core::PspcConfig::default());
-        std::fs::write(&old, index_to_binary_v1(&idx)).unwrap();
+        let v1 = include_bytes!("../../core/tests/fixtures/ba24.v1.pspc");
+        std::fs::write(&old, v1).unwrap();
 
         run(&s(&[
             "migrate",
@@ -486,7 +478,7 @@ mod tests {
         assert_eq!(restored.order(), idx.order());
         assert_eq!(restored.label_arena(), idx.label_arena());
         assert_eq!(restored.weights(), idx.weights());
-        for (s, t) in [(0u32, 79u32), (3, 44), (61, 61)] {
+        for (s, t) in [(0u32, 23u32), (3, 17), (20, 20)] {
             assert_eq!(restored.query(s, t), idx.query(s, t));
         }
 

@@ -34,11 +34,12 @@ use crate::pairs::{read_pairs, write_answers};
 use pspc_core::builder::{build_pspc, Paradigm, PspcConfig, SchedulePlan};
 use pspc_core::directed::pspc::{build_di_pspc, DiPspcConfig};
 use pspc_core::serialize::{
-    any_index_from_binary, di_index_to_binary, dyn_index_to_binary, index_from_binary,
-    index_to_binary, Bytes,
+    any_index_from_binary, index_from_binary, write_di_index_to, write_dyn_index_to,
+    write_index_to, Bytes,
 };
 use pspc_core::{
-    read_magic, sharded_to_owned, write_sharded_index, DynamicDistanceIndex, SnapshotKind, SpcIndex,
+    read_magic, sharded_to_owned, write_atomically, write_sharded_index, DynamicDistanceIndex,
+    SnapshotKind, SpcIndex,
 };
 use pspc_graph::digraph::DiGraphBuilder;
 use pspc_graph::io::{load_or_build_cache_verbose, read_edge_list_file, CacheOutcome};
@@ -238,7 +239,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         vertices = g.num_vertices(),
         edges = g.num_edges(),
     );
-    let bytes = match kind {
+    let snapshot = match kind {
         BuildKind::Undirected => {
             let (index, _) = build_pspc(&g, &config);
             let s = index.stats();
@@ -259,7 +260,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 );
                 return Ok(());
             }
-            index_to_binary(&index)
+            SnapshotKind::Undirected(index)
         }
         BuildKind::Dynamic => {
             let t0 = std::time::Instant::now();
@@ -269,12 +270,12 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 secs = format!("{:.2}", t0.elapsed().as_secs_f64()),
                 entries = index.num_entries(),
             );
-            dyn_index_to_binary(&index)
+            SnapshotKind::Dynamic(index)
         }
         BuildKind::Directed => unreachable!("handled above"),
     };
-    std::fs::write(output, &bytes).map_err(|e| format!("writing {output}: {e}"))?;
-    info!("index snapshot written", path = output, bytes = bytes.len());
+    let bytes = write_any_index(output, &snapshot)?;
+    info!("index snapshot written", path = output, bytes = bytes);
     Ok(())
 }
 
@@ -304,9 +305,8 @@ fn build_directed(input: &str, output: &str, config: &PspcConfig) -> Result<(), 
         entries = s.total_entries,
         mib = format!("{:.2}", s.size_mib()),
     );
-    let bytes = di_index_to_binary(&index);
-    std::fs::write(output, &bytes).map_err(|e| format!("writing {output}: {e}"))?;
-    info!("index snapshot written", path = output, bytes = bytes.len());
+    let bytes = write_any_index(output, &SnapshotKind::Directed(index))?;
+    info!("index snapshot written", path = output, bytes = bytes);
     Ok(())
 }
 
@@ -330,6 +330,27 @@ pub fn load_any_index(path: &str) -> Result<SnapshotKind, String> {
     }
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     any_index_from_binary(Bytes::from(data)).map_err(|e| format!("loading {path}: {e}"))
+}
+
+/// Writes `snapshot` to `path` in its kind's format, streamed through a
+/// temp file and an atomic rename ([`write_atomically`]), so no second
+/// copy of the index is buffered and a failed write never leaves a
+/// truncated snapshot under `path` (shared with `pspc_server`'s `migrate`
+/// subcommand). Returns the snapshot's size in bytes.
+pub fn write_any_index(path: &str, snapshot: &SnapshotKind) -> Result<u64, String> {
+    let written = write_atomically(std::path::Path::new(path), |f| {
+        let mut w = std::io::BufWriter::new(f);
+        match snapshot {
+            SnapshotKind::Undirected(i) => write_index_to(&mut w, i),
+            SnapshotKind::Directed(i) => write_di_index_to(&mut w, i),
+            SnapshotKind::Dynamic(i) => write_dyn_index_to(&mut w, i),
+        }?;
+        std::io::Write::flush(&mut w)
+    });
+    written
+        .and_then(|()| std::fs::metadata(path))
+        .map(|m| m.len())
+        .map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// Flags shared by `query` and `bench`.
@@ -662,6 +683,13 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--landmarks"), "{err}");
+
+        // Snapshots are renamed into place: no temp file is left behind.
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -233,10 +233,9 @@ fn mul_sat(a: Count, b: Count) -> Count {
 /// reallocate the rank-translation and answer vectors per chunk; one
 /// `BatchScratch` amortizes them across its owner's lifetime. Used by
 /// [`SpcIndex::query_batch_with_scratch`]. (The `pspc_service` worker
-/// pool instead fills owned buffers via
-/// [`SpcIndex::query_rank_batch_into`] and recycles them through its
-/// engine-wide buffer pool, because its answers are shipped to the
-/// submitting thread through a channel.)
+/// pool instead fills a fresh buffer per chunk via
+/// [`SpcIndex::query_rank_batch_into`], because its answers are shipped
+/// to the submitting thread through a channel.)
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Rank-space pairs of the current chunk.

@@ -41,7 +41,16 @@
 //! them: a vanished page raises `SIGBUS` in the query that touches it.
 //! Write a new snapshot under a new name, or rename over the old files;
 //! [`write_atomically`] gives every file a fresh temp name and renames it
-//! into place.
+//! into place, and [`write_sharded_index`] removes the shard files an
+//! earlier snapshot with more shards left behind.
+//!
+//! Renaming a new snapshot over the served one does not switch a running
+//! [`ShardedSpcIndex`] to it. Resident shards keep serving the old files,
+//! but an evicted shard cannot be mapped back in: the new file fails the
+//! check against the old manifest (or is gone), and
+//! [`ShardedSpcIndex::query_ranks`] panics. The engine turns that panic
+//! into a failed batch, so under `pspc serve` such a request gets 503
+//! until the daemon restarts on the new snapshot.
 
 use crate::label::{Count, IndexStats, LabelArena, SpcIndex};
 use crate::serialize::{
@@ -99,7 +108,9 @@ fn partition_ranks(idx: &SpcIndex, shard_bytes: u64) -> Vec<(u32, u32)> {
 /// Writes `idx` as a sharded snapshot: shard files `<manifest>.NNNN`
 /// first, the manifest last (so a crashed write never leaves a manifest
 /// pointing at missing shards). Every file goes through a temp name +
-/// atomic rename. Returns the shard count.
+/// atomic rename. Shard files that an earlier snapshot with more shards
+/// left under the same name are removed after the manifest is in place.
+/// Returns the shard count.
 ///
 /// `shard_bytes` is the target label payload per shard; the actual size
 /// rounds up to whole rank rows (a single huge row can exceed it).
@@ -143,6 +154,15 @@ pub fn write_sharded_index(
     }
     Elem::encode(&mut buf, idx.order().order())?;
     write_atomically(manifest, |f| f.write_all(&buf))?;
+    // Shards are numbered contiguously, so the first missing file ends
+    // the earlier snapshot's tail.
+    for i in ranges.len().. {
+        match std::fs::remove_file(shard_file_path(manifest, i)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => break,
+            Err(e) => return Err(e),
+        }
+    }
     Ok(ranges.len())
 }
 
@@ -517,8 +537,8 @@ impl ShardedSpcIndex {
     /// `SPC` between two ranks. Touches at most two shards.
     ///
     /// # Panics
-    /// Panics if a shard file disappears or changes underneath the
-    /// daemon (all shards were validated at [`open_sharded`] time).
+    /// Panics if an evicted shard's file disappeared or changed since
+    /// [`open_sharded`] validated it (see the module docs).
     pub fn query_ranks(&self, rs: u32, rt: u32) -> SpcAnswer {
         if rs == rt {
             return SpcAnswer { dist: 0, count: 1 };
@@ -671,6 +691,28 @@ mod tests {
             assert!(sharded.resident_shards() <= 2);
         }
         assert!(sharded.total_maps() >= shards as u64);
+
+        // Re-sharding in place to fewer shards leaves the manifest and
+        // exactly the new shard files: no stale tail.
+        let fewer = write_sharded_index(&idx, &manifest, 4096).unwrap();
+        assert!(fewer < shards, "{fewer} vs {shards}");
+        let name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
+        let prefix = name(&manifest);
+        let mut on_disk: Vec<String> = std::fs::read_dir(manifest.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| *f == prefix || f.starts_with(&format!("{prefix}.")))
+            .collect();
+        on_disk.sort();
+        let mut want: Vec<String> = (0..fewer)
+            .map(|i| name(&shard_file_path(&manifest, i)))
+            .collect();
+        want.push(prefix);
+        want.sort();
+        assert_eq!(on_disk, want);
+        let owned = sharded_to_owned(&manifest).unwrap();
+        assert_eq!(owned.label_arena(), idx.label_arena());
+        assert_eq!(owned.order(), idx.order());
         cleanup(&manifest, shards);
     }
 

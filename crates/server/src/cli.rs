@@ -15,9 +15,8 @@ use pspc_service::pairs::{read_pairs, write_answers, write_answers_json};
 use pspc_service::EngineConfig;
 
 const USAGE: &str = "usage: pspc serve <index> [--addr host:port] [--workers n] \
-[--queue-depth n] [--chunk n] [--no-sort] [--cache-capacity n] [--cache-shards n] \
-[--cache-adaptive] [--no-trace] [--no-sketch] [--mmap [--max-resident-shards k]] \
-| pspc query --remote host:port \
+[--queue-depth n] [--chunk n] [--cache-capacity n] [--cache-adaptive] [--no-trace] \
+[--no-sketch] [--mmap [--max-resident-shards k]] | pspc query --remote host:port \
 [--pairs <file|->] [--format tsv|json] [--trace-id n] [s t ...] | \
 pspc insert --remote host:port \
 [--pairs <file|->] [u v ...] | pspc migrate <old> <new> [--shard [--shard-bytes n]] | \
@@ -159,17 +158,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("bad --chunk: {e}"))?
                     .max(1)
             }
-            "--no-sort" => cfg.sort_by_rank = false,
             // 0 (the default) disables the result cache entirely.
             "--cache-capacity" => {
                 cfg.cache_capacity = value("--cache-capacity")?
                     .parse()
                     .map_err(|e| format!("bad --cache-capacity: {e}"))?
-            }
-            "--cache-shards" => {
-                cfg.cache_shards = value("--cache-shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-shards: {e}"))?
             }
             // Let the advisor resize the result cache between windows.
             "--cache-adaptive" => cfg.cache_adaptive = true,
@@ -234,15 +227,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     let insertable = index.is_dynamic();
     if cfg.cache_capacity > 0 {
-        info!(
-            "result cache enabled",
-            capacity = cfg.cache_capacity,
-            shards = if cfg.cache_shards == 0 {
-                pspc_service::cache::DEFAULT_SHARDS
-            } else {
-                cfg.cache_shards
-            },
-        );
+        info!("result cache enabled", capacity = cfg.cache_capacity);
     }
     if cfg.cache_adaptive {
         if cfg.cache_capacity == 0 {
@@ -440,6 +425,10 @@ mod tests {
         .is_err());
         assert!(run(&s(&["query", "--remote", "x", "--trace-id"])).is_err());
         assert!(run(&s(&["serve", "--cache-adaptive"])).is_err()); // missing index
+        for flag in ["--no-sort", "--cache-shards"] {
+            let err = run(&s(&["serve", "i", flag, "8"])).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag {flag}")), "{err}");
+        }
         assert!(run(&s(&["insert"])).is_err()); // missing --remote
         assert!(run(&s(&["insert", "--remote", "x", "--bogus"])).is_err());
         assert!(run(&s(&["insert", "--remote", "x", "1"])).is_err()); // odd ids

@@ -15,7 +15,8 @@ use std::net::TcpStream;
 pub enum ClientError {
     /// Transport-level failure.
     Io(io::Error),
-    /// The daemon shed the request (admission control); retry later.
+    /// The daemon shed the request (admission control, or a batch that
+    /// failed in a worker); retry later.
     Rejected(String),
     /// The daemon refused the request as malformed.
     BadRequest(String),
@@ -27,7 +28,7 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "connection error: {e}"),
-            ClientError::Rejected(m) => write!(f, "server saturated: {m}"),
+            ClientError::Rejected(m) => write!(f, "server shed the request: {m}"),
             ClientError::BadRequest(m) => write!(f, "server rejected request: {m}"),
             ClientError::Conflict(m) => write!(f, "server refused insert: {m}"),
         }

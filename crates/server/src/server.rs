@@ -18,7 +18,8 @@
 //!
 //! Query requests go through [`QueryEngine::try_run`]: when the
 //! submission queue cannot take a batch the daemon *sheds* it — HTTP 503
-//! / binary `Rejected` — instead of queueing unboundedly.
+//! / binary `Rejected` — instead of queueing unboundedly. A batch that
+//! failed in a worker ([`SubmitError::Failed`]) gets the same answer.
 //!
 //! **Observability** (see [`ObsConfig`]): every request gets a
 //! [`Span`] with a process-unique trace ID, threaded through the engine
@@ -492,7 +493,9 @@ fn answer_batch(shared: &Shared, pairs: &[(u32, u32)], span: Option<&mut Span>) 
                 .record_served(pairs.len(), t0.elapsed().as_nanos() as u64);
             proto::Response::Answers(answers)
         }
-        Err(e @ SubmitError::Saturated { .. }) => {
+        // A failed chunk (a sharded snapshot replaced under the daemon)
+        // is shed like saturation: the client may retry after a restart.
+        Err(e @ (SubmitError::Saturated { .. } | SubmitError::Failed { .. })) => {
             shared.metrics.record_rejected();
             proto::Response::Rejected(e.to_string())
         }

@@ -236,7 +236,6 @@ fn saturated_queue_rejects_new_work_instead_of_hanging() {
             workers: 1,
             chunk_size: 10_000,
             queue_depth: 4,
-            sort_by_rank: true,
             ..EngineConfig::default()
         },
     );
@@ -977,8 +976,27 @@ fn sharded_index_serves_with_bounded_residency_and_gauges() {
     let (status, _) = http_request(&addr, "POST", "/insert", b"0 1\n");
     assert!(status.contains("409"), "{status}");
 
+    // Re-sharding in place: an evicted shard can no longer be mapped
+    // back in, so a batch that needs one is shed, not a dead worker or a
+    // dropped connection, and the connection keeps serving.
+    assert_eq!(write_sharded_index(&index, &manifest, u64::MAX).unwrap(), 1);
+    let mut client = RemoteClient::connect(&addr).unwrap();
+    let every: Vec<(u32, u32)> = (0..300).map(|v| (v, 299 - v)).collect();
+    for _ in 0..2 {
+        match client.query_batch(&every) {
+            Err(ClientError::Rejected(msg)) => assert!(msg.contains("failed"), "{msg}"),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+    let same: Vec<(u32, u32)> = (0..300).map(|v| (v, v)).collect();
+    assert_eq!(
+        client.query_batch(&same).unwrap(),
+        index.query_batch_sequential(&same)
+    );
+
     let m = handle.shutdown();
     assert!(m.served >= 2);
+    assert_eq!(m.rejected, 2);
     assert_eq!(m.index_kind, 3);
     assert_eq!(m.index_mmap, 1);
     std::fs::remove_dir_all(&dir).ok();

@@ -163,7 +163,6 @@ mod tests {
             EngineConfig {
                 workers: 2,
                 chunk_size: 256,
-                sort_by_rank: true,
                 ..EngineConfig::default()
             },
         );

@@ -6,9 +6,9 @@
 //!            [--landmarks k] [--threads t] [--push] [--static] [--no-cache]
 //!            [--directed | --dynamic]
 //! pspc query <index.pspc> [--pairs <file|->] [--workers n] [--chunk n]
-//!            [--no-sort] [s t ...]
+//!            [--format tsv|json] [s t ...]
 //! pspc bench <index.pspc> [--count n] [--seed s] [--workers n] [--chunk n]
-//!            [--no-sort] [--compare]
+//!            [--compare]
 //! ```
 //!
 //! `stats` prints the vertex/edge counts, degrees, component count and
@@ -51,9 +51,9 @@ const USAGE: &str = "usage: pspc stats <edges> | \
 pspc build <edges> -o <index> [--order o] [--landmarks k] \
 [--threads t] [--push] [--static] [--no-cache] [--directed | --dynamic] \
 [--shard-bytes n] | \
-pspc query <index> [--pairs <file|->] [--workers n] [--chunk n] [--no-sort] \
+pspc query <index> [--pairs <file|->] [--workers n] [--chunk n] \
 [--format tsv|json] [s t ...] | pspc bench <index> [--count n] [--seed s] [--workers n] \
-[--chunk n] [--no-sort] [--compare]";
+[--chunk n] [--compare]";
 
 /// Answer output encodings of `pspc query` (and the HTTP front-end).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -388,7 +388,6 @@ fn parse_engine_flags(
                     .map_err(|e| format!("bad --chunk: {e}"))?
                     .max(1)
             }
-            "--no-sort" => cfg.sort_by_rank = false,
             other => {
                 if !extra(other, &mut it)? {
                     rest.push(other.to_string());
@@ -584,7 +583,10 @@ mod tests {
             "1",
         ]))
         .unwrap();
-        run(&s(&["query", i, "--pairs", q, "--no-sort"])).unwrap();
+        for cmd in ["query", "bench"] {
+            let err = run(&s(&[cmd, i, "--no-sort"])).unwrap_err();
+            assert_eq!(err, "unknown flag --no-sort", "{cmd}");
+        }
         run(&s(&["query", i, "--format", "json", "0", "3"])).unwrap();
         assert!(run(&s(&["query", i, "--format", "yaml", "0", "3"])).is_err());
 

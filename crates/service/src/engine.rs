@@ -10,15 +10,20 @@
 //! the original engine, so a daemon serving many small batches pays no
 //! thread-spawn latency per request.
 //!
-//! A batch of `(s, t)` pairs is rank-translated once, put into a
-//! *processing order* — either the input order, or (default) sorted by
-//! the source vertex's rank so consecutive queries touch neighboring
-//! label sets — and cut into fixed-size chunks. Each chunk is one queue
-//! message; workers pull chunks as they free up (dynamic load balancing:
-//! a chunk of hub-heavy queries does not stall the other workers), answer
-//! them into an owned buffer ([`pspc_core::SpcIndex::query_rank_batch_into`])
-//! and ship it back through a per-batch reply channel. The submitter
-//! reassembles answers index-aligned with its input.
+//! A batch of `(s, t)` pairs is rank-translated once and cut into
+//! fixed-size chunks in input order (a query merges its two endpoints'
+//! labels, so the order chunks run in cannot change an answer). Each
+//! chunk is one queue message; workers pull chunks as they free up
+//! (dynamic load balancing: a chunk of hub-heavy queries does not stall
+//! the other workers), answer them into a fresh `Vec`
+//! ([`pspc_core::SpcIndex::query_rank_batch_into`]) and ship it back
+//! through a per-batch reply channel. A one-chunk batch — every request
+//! up to [`EngineConfig::chunk_size`] pairs — returns that `Vec` as its
+//! answers; a larger batch copies each reply into place as it arrives.
+//!
+//! A chunk that panics (a sharded index whose files were replaced under
+//! it) fails its batch with [`SubmitError::Failed`]; the worker survives
+//! and the pool keeps serving.
 //!
 //! # Admission control
 //!
@@ -45,6 +50,7 @@ use parking_lot::Mutex;
 use pspc_core::SpcIndex;
 use pspc_graph::{SpcAnswer, VertexId};
 use pspc_obs::{Span, Stage, TimeSeriesRing, WorkloadSketch, DEFAULT_HEAVY_HITTERS};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,21 +102,14 @@ pub struct EngineConfig {
     /// chunks amortize dispatch; 1024 is a good default for microsecond
     /// queries.
     pub chunk_size: usize,
-    /// Process queries in source-rank order (cache-friendly sharding)
-    /// instead of input order. Answers are merged back to input order
-    /// either way.
-    pub sort_by_rank: bool,
     /// Submission-queue bound in chunks (0 = [`DEFAULT_QUEUE_DEPTH`]).
     /// [`QueryEngine::try_run`] rejects batches that do not fit; the
     /// blocking paths wait for free slots instead.
     pub queue_depth: usize,
-    /// Total `(s, t) → answer` cache entries across all shards
-    /// (0 disables the cache — the default, so batch jobs that never
-    /// repeat a pair pay nothing).
+    /// Total `(s, t) → answer` cache entries across its
+    /// [`crate::cache::DEFAULT_SHARDS`] shards (0 disables the cache —
+    /// the default, so batch jobs that never repeat a pair pay nothing).
     pub cache_capacity: usize,
-    /// Cache shard count (0 = [`crate::cache::DEFAULT_SHARDS`]); ignored
-    /// when the cache is disabled.
-    pub cache_shards: usize,
     /// Feed the streaming workload sketch (distinct-pair HLL, heavy
     /// hitters, windowed time series) from every batch. On by default —
     /// recording is wait-free and a few nanoseconds per pair; the flag
@@ -130,10 +129,8 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             chunk_size: 1024,
-            sort_by_rank: true,
             queue_depth: 0,
             cache_capacity: 0,
-            cache_shards: 0,
             workload_sketch: true,
             window_secs: 0,
             cache_adaptive: false,
@@ -187,6 +184,13 @@ pub enum SubmitError {
         /// Queue bound in chunks.
         capacity: usize,
     },
+    /// Answering the batch panicked in a worker (e.g. a sharded index
+    /// could not map a shard file replaced under it). The pool is
+    /// unharmed; the batch has no answers.
+    Failed {
+        /// Chunks of the batch that panicked.
+        chunks: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -200,31 +204,34 @@ impl std::fmt::Display for SubmitError {
                 f,
                 "batch of {chunks} chunks exceeds the queue bound of {capacity}"
             ),
+            SubmitError::Failed { chunks } => write!(
+                f,
+                "batch failed: {chunks} of its chunks panicked in a worker (see the panic message)"
+            ),
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
 
-/// One queued unit of work: a chunk of some batch's gathered rank pairs.
+/// One queued unit of work: a chunk of some batch's rank pairs.
 struct Task {
-    /// The whole batch's rank pairs, in processing order.
+    /// The whole batch's rank pairs, in input order.
     batch: Arc<Vec<(u32, u32)>>,
     /// Chunk bounds within `batch`.
     lo: usize,
     hi: usize,
-    /// Chunk index (for the input-order merge).
-    chunk: usize,
     /// When the chunk entered the submission queue (for the queue-wait
     /// stage of request traces).
     enqueued: Instant,
     /// Per-batch reply queue.
-    reply: Sender<Part>,
+    reply: Sender<Reply>,
 }
 
-/// `(chunk index, answers, queue-wait ns, execution ns)` — the last two
-/// feed request traces and the per-worker gauges.
-type Part = (usize, Vec<SpcAnswer>, u64, u64);
+/// `(chunk start, answers, queue-wait ns, execution ns)`; the answers
+/// are `None` when the chunk panicked. The last two feed request traces
+/// and the per-worker gauges.
+type Reply = (usize, Option<Vec<SpcAnswer>>, u64, u64);
 
 /// Per-worker busy-time/chunk counters, indexed by worker id. Always on:
 /// the cost is two `Relaxed` `fetch_add`s per *chunk* (≥1024 queries by
@@ -373,66 +380,27 @@ fn unix_now_s() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Recycler for the answer buffers that shuttle between workers and
-/// submitters.
-///
-/// Workers fill an owned `Vec<SpcAnswer>` per chunk and ship it through
-/// the reply channel; without reuse every chunk of every batch is a
-/// fresh allocation. The pool threads those buffers back through the
-/// batch path: the submitter returns each part's buffer after scattering
-/// its answers, and workers check buffers out (capacity intact) instead
-/// of allocating. Bounded so a burst of huge batches cannot pin memory
-/// forever.
-struct BufferPool {
-    free: Mutex<Vec<Vec<SpcAnswer>>>,
-    max: usize,
-}
-
-impl BufferPool {
-    fn new(max: usize) -> Self {
-        BufferPool {
-            free: Mutex::new(Vec::new()),
-            max,
-        }
-    }
-
-    /// Checks out an empty buffer, keeping whatever capacity it grew to.
-    fn take(&self) -> Vec<SpcAnswer> {
-        self.free.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer for reuse (dropped if the pool is full).
-    fn put(&self, mut buf: Vec<SpcAnswer>) {
-        buf.clear();
-        let mut free = self.free.lock();
-        if free.len() < self.max {
-            free.push(buf);
-        }
-    }
-}
-
-fn worker_loop(
-    index: Arc<IndexKind>,
-    rx: Receiver<Task>,
-    buffers: Arc<BufferPool>,
-    stats: Arc<WorkerStats>,
-    id: usize,
-) {
+fn worker_loop(index: Arc<IndexKind>, rx: Receiver<Task>, stats: Arc<WorkerStats>, id: usize) {
     // recv() drains every queued chunk before reporting disconnect, so a
     // shutdown never drops admitted work.
     while let Ok(task) = rx.recv() {
         let dequeued = Instant::now();
         // Saturating: Instant::duration_since never goes negative.
         let wait_ns = dequeued.duration_since(task.enqueued).as_nanos() as u64;
-        let slice = &task.batch[task.lo..task.hi];
-        let mut out = buffers.take();
-        index.query_rank_batch_into(slice, &mut out);
+        // A panic fails this chunk's batch, not the worker: the pool
+        // keeps serving other batches.
+        let answers = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut out = Vec::new();
+            index.query_rank_batch_into(&task.batch[task.lo..task.hi], &mut out);
+            out
+        }))
+        .ok();
         let exec_ns = dequeued.elapsed().as_nanos() as u64;
         stats.busy_ns[id].fetch_add(exec_ns, Ordering::Relaxed);
         stats.chunks[id].fetch_add(1, Ordering::Relaxed);
         // A submitter that vanished (disconnected reply) is not an error
         // for the pool; the work is simply discarded.
-        let _ = task.reply.send((task.chunk, out, wait_ns, exec_ns));
+        let _ = task.reply.send((task.lo, answers, wait_ns, exec_ns));
     }
 }
 
@@ -454,8 +422,6 @@ pub struct QueryEngine {
     /// subsequent multi-chunk enqueue are atomic against other admitted
     /// submitters.
     submit_lock: Mutex<()>,
-    /// Recycled answer buffers shared by workers and submitters.
-    buffers: Arc<BufferPool>,
     /// Per-worker busy-time/chunk counters (always on).
     worker_stats: Arc<WorkerStats>,
     /// The hot-pair result cache, when `cfg.cache_capacity > 0`. Probed
@@ -469,7 +435,7 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Engine with default configuration (all cores, 1024-query chunks,
-    /// rank-sorted sharding, default queue depth).
+    /// default queue depth).
     pub fn new(index: SpcIndex) -> Self {
         Self::with_config(index, EngineConfig::default())
     }
@@ -495,25 +461,19 @@ impl QueryEngine {
             cfg.queue_depth
         };
         let (tx, rx) = channel::bounded::<Task>(depth);
-        // Enough pooled buffers for every worker to hold one in flight
-        // plus a healthy margin of parts awaiting their submitter's
-        // scatter; beyond that, returns are dropped rather than hoarded.
-        let buffers = Arc::new(BufferPool::new(4 * workers + 16));
         let worker_stats = Arc::new(WorkerStats::new(workers));
         let handles = (0..workers)
             .map(|i| {
                 let index = Arc::clone(&index);
                 let rx = rx.clone();
-                let buffers = Arc::clone(&buffers);
                 let stats = Arc::clone(&worker_stats);
                 std::thread::Builder::new()
                     .name(format!("pspc-worker-{i}"))
-                    .spawn(move || worker_loop(index, rx, buffers, stats, i))
+                    .spawn(move || worker_loop(index, rx, stats, i))
                     .expect("spawning engine worker")
             })
             .collect();
-        let cache = (cfg.cache_capacity > 0)
-            .then(|| AnswerCache::new(cfg.cache_capacity, cfg.cache_shards));
+        let cache = (cfg.cache_capacity > 0).then(|| AnswerCache::new(cfg.cache_capacity, 0));
         let window_secs = if cfg.window_secs == 0 {
             DEFAULT_WINDOW_SECS
         } else {
@@ -526,7 +486,6 @@ impl QueryEngine {
             tx: Some(tx),
             handles,
             submit_lock: Mutex::new(()),
-            buffers,
             worker_stats,
             cache,
             workload,
@@ -745,15 +704,19 @@ impl QueryEngine {
     }
 
     /// Answers a batch; answers are index-aligned with `pairs`. Blocks
-    /// for queue slots when the pool is saturated (backpressure).
+    /// for queue slots when the pool is saturated (backpressure), and
+    /// panics with [`SubmitError::Failed`]'s message if a chunk failed.
     pub fn run(&self, pairs: &[(VertexId, VertexId)]) -> Vec<SpcAnswer> {
         self.run_with_report(pairs).0
     }
 
-    /// Answers a batch and reports wall-clock facts.
+    /// Answers a batch and reports wall-clock facts; panics as
+    /// [`QueryEngine::run`] does.
     pub fn run_with_report(&self, pairs: &[(VertexId, VertexId)]) -> (Vec<SpcAnswer>, BatchReport) {
+        // Blocking submission is never rejected, so the only error is a
+        // failed chunk.
         self.execute(pairs, false, None)
-            .expect("blocking submission cannot be rejected")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Admission-controlled batch execution: **rejects** instead of
@@ -768,7 +731,7 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::try_run`] with per-stage attribution into `span`:
-    /// cache-probe, prepare (rank translate + order + dispatch),
+    /// cache-probe, prepare (rank translation + admission + dispatch),
     /// queue-wait (longest chunk enqueue→dequeue delay), execute (summed
     /// worker busy time over the batch's chunks) and merge. The daemon
     /// threads each request's [`Span`] through here so `/debug/trace`,
@@ -864,7 +827,8 @@ impl QueryEngine {
         Ok((answers, report))
     }
 
-    /// The pool path: rank-translate, order, chunk, dispatch, merge.
+    /// The pool path: rank-translate, chunk in input order, dispatch,
+    /// place the replies.
     fn execute_pool(
         &self,
         pairs: &[(VertexId, VertexId)],
@@ -885,33 +849,16 @@ impl QueryEngine {
             return Ok((Vec::new(), report));
         }
 
-        // Translate vertex ids to ranks once — the sort key and the
-        // queries both live in rank space, so workers never touch the
+        // Translate vertex ids to ranks once, so workers never touch the
         // rank array.
-        let ranked: Vec<(u32, u32)> = self.index.rank_pairs(pairs);
-
-        // Processing order: input indices, optionally sorted by the
-        // source's rank (then target's) for cache-friendly label access.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        if self.cfg.sort_by_rank {
-            order.sort_unstable_by_key(|&i| ranked[i as usize]);
-        }
-        // Gather once so workers index straight into the shared batch.
-        let batch: Arc<Vec<(u32, u32)>> = Arc::new(
-            order
-                .iter()
-                .map(|&i| ranked[i as usize])
-                .collect::<Vec<_>>(),
-        );
-
+        let batch = Arc::new(self.index.rank_pairs(pairs));
         let num_chunks = n.div_ceil(chunk);
         let tx = self.tx.as_ref().expect("engine pool is running");
-        let (reply_tx, reply_rx) = channel::unbounded::<Part>();
+        let (reply_tx, reply_rx) = channel::unbounded::<Reply>();
         let make_task = |c: usize| Task {
             batch: Arc::clone(&batch),
             lo: c * chunk,
             hi: (c * chunk + chunk).min(n),
-            chunk: c,
             enqueued: Instant::now(),
             reply: reply_tx.clone(),
         };
@@ -945,22 +892,21 @@ impl QueryEngine {
         drop(reply_tx);
         if let Some(s) = span.as_mut() {
             // Everything up to and including dispatch: rank translation,
-            // ordering, gathering, admission and the sends.
+            // admission and the sends.
             s.add(Stage::Prepare, t0.elapsed().as_nanos() as u64);
         }
 
-        // Collect every chunk's part, then merge in chunk order: keeps
-        // the answer scatter cache-friendly.
-        let mut parts: Vec<Part> = Vec::with_capacity(num_chunks);
-        while parts.len() < num_chunks {
-            match reply_rx.recv() {
-                Ok(p) => parts.push(p),
-                Err(_) => panic!("engine worker terminated with a batch in flight"),
-            }
-        }
-        parts.sort_unstable_by_key(|&(c, ..)| c);
-        if let Some(s) = span.as_mut() {
-            for &(_, _, wait_ns, exec_ns) in &parts {
+        // Place every reply as it arrives. A failed chunk does not cut
+        // the loop short: the batch returns only once all of its chunks
+        // have run, whatever their outcome.
+        let mut answers: Vec<SpcAnswer> = Vec::new();
+        let mut failed = 0;
+        let mut merge_ns = 0;
+        for _ in 0..num_chunks {
+            let (lo, out, wait_ns, exec_ns) = reply_rx
+                .recv()
+                .expect("engine worker terminated with a batch in flight");
+            if let Some(s) = span.as_mut() {
                 // Queue wait is the *longest* chunk delay (the batch
                 // cannot finish sooner); execution is *summed* worker
                 // busy time, so it can exceed wall clock when chunks ran
@@ -968,19 +914,24 @@ impl QueryEngine {
                 s.add_max(Stage::QueueWait, wait_ns);
                 s.add(Stage::Execute, exec_ns);
             }
-        }
-        let merge_t0 = Instant::now();
-        let mut answers = vec![SpcAnswer::UNREACHABLE; n];
-        for (c, out, _, _) in parts {
-            let lo = c * chunk;
-            for (k, &a) in out.iter().enumerate() {
-                answers[order[lo + k] as usize] = a;
+            let placed = Instant::now();
+            match out {
+                // A one-chunk batch's reply is its answers.
+                Some(out) if num_chunks == 1 => answers = out,
+                Some(out) => {
+                    // Sized once, on the first reply.
+                    answers.resize(n, SpcAnswer::UNREACHABLE);
+                    answers[lo..lo + out.len()].copy_from_slice(&out);
+                }
+                None => failed += 1,
             }
-            // Thread the drained buffer back to the workers.
-            self.buffers.put(out);
+            merge_ns += placed.elapsed().as_nanos() as u64;
         }
         if let Some(s) = span.as_mut() {
-            s.add(Stage::Merge, merge_t0.elapsed().as_nanos() as u64);
+            s.add(Stage::Merge, merge_ns);
+        }
+        if failed > 0 {
+            return Err(SubmitError::Failed { chunks: failed });
         }
 
         let report = BatchReport {
@@ -1026,22 +977,16 @@ mod tests {
     #[test]
     fn answers_are_input_ordered_for_every_config() {
         for workers in [1, 2, 4] {
-            for sort_by_rank in [false, true] {
-                for chunk_size in [1, 7, 1024] {
-                    let e = engine(EngineConfig {
-                        workers,
-                        chunk_size,
-                        sort_by_rank,
-                        ..EngineConfig::default()
-                    });
-                    let ps = pairs(513, 300, 0xFEED);
-                    let expect = e.index().query_batch_sequential(&ps);
-                    let got = e.run(&ps);
-                    assert_eq!(
-                        got, expect,
-                        "workers={workers} sort={sort_by_rank} chunk={chunk_size}"
-                    );
-                }
+            for chunk_size in [1, 7, 1024] {
+                let e = engine(EngineConfig {
+                    workers,
+                    chunk_size,
+                    ..EngineConfig::default()
+                });
+                let ps = pairs(513, 300, 0xFEED);
+                let expect = e.index().query_batch_sequential(&ps);
+                let got = e.run(&ps);
+                assert_eq!(got, expect, "workers={workers} chunk={chunk_size}");
             }
         }
     }
@@ -1060,7 +1005,6 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 2,
             chunk_size: 100,
-            sort_by_rank: true,
             ..EngineConfig::default()
         });
         let ps = pairs(250, 300, 3);
@@ -1079,29 +1023,11 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 64,
             chunk_size: 1000,
-            sort_by_rank: false,
             ..EngineConfig::default()
         });
         let ps = pairs(10, 300, 9);
         let (_, report) = e.run_with_report(&ps);
         assert_eq!(report.workers, 1);
-    }
-
-    #[test]
-    fn buffer_pool_recycles_capacity_and_stays_bounded() {
-        let pool = BufferPool::new(2);
-        let mut b = pool.take();
-        b.reserve(100);
-        let cap = b.capacity();
-        b.push(SpcAnswer::UNREACHABLE);
-        pool.put(b);
-        let b2 = pool.take();
-        assert!(b2.is_empty(), "returned buffers must come back cleared");
-        assert!(b2.capacity() >= cap, "capacity must survive recycling");
-        for _ in 0..3 {
-            pool.put(Vec::with_capacity(1));
-        }
-        assert_eq!(pool.free.lock().len(), 2, "pool must stay bounded");
     }
 
     #[test]
@@ -1111,7 +1037,6 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 3,
             chunk_size: 32,
-            sort_by_rank: true,
             ..EngineConfig::default()
         });
         for round in 0..20 {
@@ -1125,7 +1050,6 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 2,
             chunk_size: 16,
-            sort_by_rank: true,
             queue_depth: 4,
             ..EngineConfig::default()
         });
@@ -1147,7 +1071,6 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 4,
             chunk_size: 64,
-            sort_by_rank: true,
             ..EngineConfig::default()
         });
         std::thread::scope(|s| {
@@ -1224,7 +1147,6 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 2,
             chunk_size: 64,
-            sort_by_rank: true,
             ..EngineConfig::default()
         });
         let ps = pairs(300, 300, 77);
@@ -1380,5 +1302,46 @@ mod tests {
             capacity: 10,
         };
         assert!(t.to_string().contains("exceeds"));
+        let f = SubmitError::Failed { chunks: 2 };
+        assert!(f.to_string().contains("failed"));
+    }
+
+    #[test]
+    fn panicking_chunk_fails_its_batch_not_the_pool() {
+        use pspc_core::{open_sharded, write_sharded_index};
+        let (index, _) = build_pspc(&barabasi_albert(200, 2, 17), &PspcConfig::default());
+        let dir = std::env::temp_dir().join(format!("pspc_engine_failed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("index.pspc");
+        assert!(write_sharded_index(&index, &manifest, 2048).unwrap() > 2);
+        let e = QueryEngine::with_kind(
+            IndexKind::Sharded(open_sharded(&manifest, 1).unwrap()),
+            EngineConfig {
+                workers: 2,
+                chunk_size: 64,
+                ..EngineConfig::default()
+            },
+        );
+        // Re-sharding in place leaves the one resident shard on the old
+        // file; mapping any other shard back in fails the manifest check
+        // and panics inside the chunk.
+        write_sharded_index(&index, &manifest, 4096).unwrap();
+        let every: Vec<(u32, u32)> = (0..200).map(|v| (v, 199 - v)).collect();
+        for _ in 0..2 {
+            assert!(matches!(
+                e.try_run(&every),
+                Err(SubmitError::Failed { chunks }) if (1..=4).contains(&chunks)
+            ));
+        }
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| e.run(&every))).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.starts_with("batch failed"), "{msg}");
+        // The workers survived, and a batch that maps no shard is
+        // answered.
+        assert!(e.handles.iter().all(|h| !h.is_finished()), "a worker died");
+        let same: Vec<(u32, u32)> = (0..200).map(|v| (v, v)).collect();
+        assert_eq!(e.run(&same), index.query_batch_sequential(&same));
+        drop(e);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

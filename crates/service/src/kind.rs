@@ -191,7 +191,7 @@ impl IndexKind {
     }
 
     /// Translates original-id pairs into rank space once per batch (the
-    /// sort key and the per-chunk queries both live in rank space).
+    /// per-chunk queries live in rank space).
     pub fn rank_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Vec<(u32, u32)> {
         let translate = |order: &pspc_order::VertexOrder| {
             pairs

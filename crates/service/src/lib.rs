@@ -7,11 +7,10 @@
 //!
 //! * [`engine`] — [`QueryEngine`]: a **persistent worker pool** fed by a
 //!   bounded MPMC submission queue (long-lived threads, no per-batch
-//!   spawns), cache-friendly chunk sharding (optionally sorted by source
-//!   rank), input-order answer merging, and admission control
-//!   ([`QueryEngine::try_run`] rejects with [`SubmitError::Saturated`]
-//!   instead of queueing unboundedly — the load-shedding primitive the
-//!   `pspc_server` daemon builds on);
+//!   spawns), batches cut into chunks in input order, and admission
+//!   control ([`QueryEngine::try_run`] rejects with
+//!   [`SubmitError::Saturated`] instead of queueing unboundedly — the
+//!   load-shedding primitive the `pspc_server` daemon builds on);
 //! * [`kind`] — [`IndexKind`]: one batch-query interface over the
 //!   undirected counting index, the directed `Lin`/`Lout` index and the
 //!   insertion-only dynamic distance labeling, so the engine, the CLI

@@ -54,7 +54,6 @@ proptest! {
                     workers,
                     chunk_size: 8,
                     cache_capacity: 64,
-                    cache_shards: 4,
                     ..EngineConfig::default()
                 },
             );
@@ -100,7 +99,6 @@ fn eviction_respects_capacity_under_large_working_set() {
         EngineConfig {
             workers: 2,
             cache_capacity: 32,
-            cache_shards: 4,
             ..EngineConfig::default()
         },
     );

@@ -38,7 +38,6 @@ fn assert_engine_parity(
     pairs: &[(u32, u32)],
     expect: &[SpcAnswer],
     chunk_size: usize,
-    sort_by_rank: bool,
 ) {
     for workers in WORKER_COUNTS {
         let engine = QueryEngine::with_kind(
@@ -46,7 +45,6 @@ fn assert_engine_parity(
             EngineConfig {
                 workers,
                 chunk_size,
-                sort_by_rank,
                 cache_capacity: 256,
                 ..EngineConfig::default()
             },
@@ -57,11 +55,10 @@ fn assert_engine_parity(
             assert_eq!(
                 engine.run(pairs).as_slice(),
                 expect,
-                "kind={} workers={} chunk={} sort={} pass={}",
+                "kind={} workers={} chunk={} pass={}",
                 engine.kind().name(),
                 workers,
                 chunk_size,
-                sort_by_rank,
                 pass
             );
         }
@@ -78,7 +75,6 @@ proptest! {
         raw_inserts in vec((0u32..40, 0u32..40), 1..20),
         raw_pairs in vec((0u32..40, 0u32..40), 0..200),
         chunk_size in 1usize..48,
-        sort_by_rank in any::<bool>(),
     ) {
         let n32 = n as u32;
         let clamp = |ps: &[(u32, u32)]| -> Vec<(u32, u32)> {
@@ -97,7 +93,6 @@ proptest! {
             &pairs,
             &expect,
             chunk_size,
-            sort_by_rank,
         );
 
         // Directed: the same pair list as an arc list, pairs are s → t.
@@ -109,7 +104,6 @@ proptest! {
             &pairs,
             &expect,
             chunk_size,
-            sort_by_rank,
         );
 
         // Dynamic: post-insert distances. The reference copy takes the
@@ -129,7 +123,6 @@ proptest! {
                 EngineConfig {
                     workers,
                     chunk_size,
-                    sort_by_rank,
                     cache_capacity: 256,
                     ..EngineConfig::default()
                 },
@@ -143,10 +136,9 @@ proptest! {
                 prop_assert_eq!(
                     engine.run(&pairs),
                     expect.clone(),
-                    "dynamic: workers={} chunk={} sort={} pass={}",
+                    "dynamic: workers={} chunk={} pass={}",
                     workers,
                     chunk_size,
-                    sort_by_rank,
                     pass
                 );
             }

@@ -25,7 +25,6 @@ proptest! {
         g in arb_graph(60, 200),
         raw_pairs in vec((0u32..60, 0u32..60), 0..300),
         chunk_size in 1usize..64,
-        sort_by_rank in any::<bool>(),
     ) {
         let n = g.num_vertices() as u32;
         let pairs: Vec<(u32, u32)> =
@@ -35,15 +34,14 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let engine = QueryEngine::with_config(
                 index.clone(),
-                EngineConfig { workers, chunk_size, sort_by_rank, ..EngineConfig::default() },
+                EngineConfig { workers, chunk_size, ..EngineConfig::default() },
             );
             prop_assert_eq!(
                 engine.run(&pairs),
                 expect.clone(),
-                "workers={} chunk={} sort={}",
+                "workers={} chunk={}",
                 workers,
-                chunk_size,
-                sort_by_rank
+                chunk_size
             );
         }
     }
